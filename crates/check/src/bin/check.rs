@@ -1,7 +1,7 @@
 //! Fuzz-sweep / replay / bounded-exploration driver.
 //!
 //! ```text
-//! check [--smoke N | --cases N] [--seed S] [--jobs J|auto] [--domains D|auto]
+//! check [--smoke N | --cases N] [--seed S] [--jobs J|auto]
 //!                                   run N cases of the schedule rooted at S
 //! check --replay W:P:PROTO          re-run one fuzz case and print its verdict
 //! check explore [--proto P|all] [--depth N] [--max-schedules N] [--cores N]
@@ -15,11 +15,6 @@
 //! all hardware threads). The sweep output — failing cases in case
 //! order, totals, one summary line per protocol — is buffered and
 //! byte-identical at every job count; only wall-clock changes.
-//!
-//! `--domains` splits each simulated machine over D intra-run PDES
-//! domains (default 1). Fingerprints and verdicts are identical at any
-//! value — so a failing case found at `--domains 4` replays exactly with
-//! the plain single-threaded `--replay` command it prints.
 //!
 //! `explore` runs the bounded model checker (see `sb_check::explore`):
 //! it enumerates same-cycle dispatch schedules of a small machine up to
@@ -35,7 +30,7 @@ use std::process::ExitCode;
 
 use sb_check::explore::{bug_by_name, explore, replay_schedule, ExploreConfig, ScheduleToken};
 use sb_check::{
-    check_case_at, protocol_by_name, render_sweep, run_cases_at, CaseReport, FuzzCase, SmokeReport,
+    check_case, protocol_by_name, render_sweep, run_cases, CaseReport, FuzzCase, SmokeReport,
     PROTOCOLS,
 };
 use sb_sim::parallel::AUTO_JOBS;
@@ -45,7 +40,7 @@ const DEFAULT_SEED: u64 = 0xf0f0_2026;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: check [--smoke N | --cases N] [--seed S] [--jobs J|auto] [--domains D|auto]\n\
+        "usage: check [--smoke N | --cases N] [--seed S] [--jobs J|auto]\n\
          \u{20}      check --replay W:P:PROTO\n\
          \u{20}      check explore [--proto P|all] [--depth N] [--max-schedules N] [--cores N]\n\
          \u{20}                    [--insns N] [--wseed S] [--no-oci] [--inject-bug NAME]\n\
@@ -152,7 +147,6 @@ fn main() -> ExitCode {
     let mut cases = DEFAULT_CASES;
     let mut seed = DEFAULT_SEED;
     let mut jobs = AUTO_JOBS;
-    let mut domains = 1usize;
     let mut replay: Option<FuzzCase> = None;
     let mut replay_sched: Option<ScheduleToken> = None;
 
@@ -169,10 +163,6 @@ fn main() -> ExitCode {
             },
             "--jobs" => match it.next().and_then(|v| sb_sim::parallel::parse_jobs(v)) {
                 Some(j) => jobs = j,
-                None => return usage(),
-            },
-            "--domains" => match it.next().and_then(|v| sb_sim::parallel::parse_domains(v)) {
-                Some(d) => domains = d,
                 None => return usage(),
             },
             "--replay" => match it.next().and_then(|v| FuzzCase::parse(v)) {
@@ -206,7 +196,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(case) = replay {
-        let report = check_case_at(&case, domains);
+        let report = check_case(&case);
         print_case(&case, &report);
         return if report.passed() {
             ExitCode::SUCCESS
@@ -216,7 +206,7 @@ fn main() -> ExitCode {
     }
 
     println!("fuzzing {cases} cases (schedule seed {seed:#x}) ...");
-    let results = run_cases_at(seed, cases, jobs, domains);
+    let results = run_cases(seed, cases, jobs);
     // Everything below is a pure render of the ordered results, so the
     // bytes printed are independent of how the workers interleaved.
     print!("{}", render_sweep(&results));

@@ -190,17 +190,7 @@ impl CaseReport {
 /// propagated, so a fuzz sweep survives a crashing case and still prints
 /// its replay command.
 pub fn check_case(case: &FuzzCase) -> CaseReport {
-    check_case_at(case, 1)
-}
-
-/// [`check_case`] with the machine split over `domains` intra-run PDES
-/// domains (see [`SimConfig::domains`]). The report — fingerprint,
-/// counts, oracle verdict — must be identical at any domain count; the
-/// `fuzz_slice_fingerprints_match_at_domains_4` test pins a slice of the
-/// default schedule to exactly that.
-pub fn check_case_at(case: &FuzzCase, domains: usize) -> CaseReport {
-    let mut cfg = case.config();
-    cfg.domains = domains;
+    let cfg = case.config();
     match panic::catch_unwind(AssertUnwindSafe(|| run_simulation(&cfg))) {
         Err(payload) => {
             let msg = payload
@@ -392,20 +382,8 @@ impl SmokeReport {
 /// therefore anything rendered from it) is identical at every `jobs`
 /// value.
 pub fn run_cases(base_seed: u64, n: u64, jobs: usize) -> Vec<(FuzzCase, CaseReport)> {
-    run_cases_at(base_seed, n, jobs, 1)
-}
-
-/// [`run_cases`] with every machine split over `domains` intra-run PDES
-/// domains. Both parallelism axes compose, and neither may be observable
-/// in the returned reports.
-pub fn run_cases_at(
-    base_seed: u64,
-    n: u64,
-    jobs: usize,
-    domains: usize,
-) -> Vec<(FuzzCase, CaseReport)> {
     let cases: Vec<FuzzCase> = (0..n).map(|i| FuzzCase::nth(base_seed, i)).collect();
-    let reports = sb_sim::parallel::parallel_map(&cases, jobs, |c| check_case_at(c, domains));
+    let reports = sb_sim::parallel::parallel_map(&cases, jobs, check_case);
     cases.into_iter().zip(reports).collect()
 }
 

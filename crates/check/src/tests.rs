@@ -207,36 +207,6 @@ fn sweep_output_is_byte_identical_at_jobs_1_and_4() {
     assert_eq!(smoke.failures.len(), agg.failures.len());
 }
 
-/// Intra-run domain partitioning (`--domains`) is unobservable to the
-/// fuzzer: a slice of the default schedule — spanning all five
-/// protocols, perturbed and plain timing, and both OCI modes — run with
-/// each machine split over 4 conservative-PDES domains reproduces the
-/// single-threaded trace fingerprints case for case, along with every
-/// count and the oracle verdict, and the rendered sweep is
-/// byte-identical.
-#[test]
-fn fuzz_slice_fingerprints_match_at_domains_4() {
-    let d1 = run_cases_at(0xf0f0_2026, 20, 1, 1);
-    let d4 = run_cases_at(0xf0f0_2026, 20, 1, 4);
-    assert_eq!(d1.len(), 20);
-    let mut perturbed = 0u32;
-    for ((ca, ra), (cb, rb)) in d1.iter().zip(&d4) {
-        assert_eq!(ca, cb);
-        perturbed += (ca.perturb_seed != 0) as u32;
-        assert_eq!(ra.fingerprint, rb.fingerprint, "{ca}: schedule diverged");
-        assert_eq!(ra.commits, rb.commits, "{ca}");
-        assert_eq!(ra.squashes, rb.squashes, "{ca}");
-        assert_eq!(ra.invs_processed, rb.invs_processed, "{ca}");
-        assert_eq!(ra.violations, rb.violations, "{ca}");
-    }
-    assert!(perturbed > 0, "slice never exercised the timing adversary");
-    assert_eq!(
-        render_sweep(&d1),
-        render_sweep(&d4),
-        "sweep output depends on domain count"
-    );
-}
-
 /// Schedule derivation is stable: the same (base, i) always yields the
 /// same case, different bases diverge.
 #[test]

@@ -450,8 +450,8 @@ impl<E> EventQueue<E> {
     /// strictly before `horizon`; otherwise leaves the queue untouched
     /// and returns `None`.
     ///
-    /// This is the primitive a conservative parallel scheduler needs: a
-    /// domain repeatedly calls `advance_until(safe_horizon, ..)` and is
+    /// This is the primitive a conservative superphase scheduler needs:
+    /// a plane repeatedly calls `advance_until(safe_horizon, ..)` and is
     /// guaranteed never to consume an event at or past the horizon, while
     /// same-cycle pushes made by the dispatched handlers drain on the
     /// *next* call in exact `(cycle, seq)` order — so a loop over

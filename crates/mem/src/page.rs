@@ -80,8 +80,8 @@ impl PageMapper {
     /// The home of the page containing `line`, which must already be
     /// assigned. Read-only counterpart of [`PageMapper::home_of_line`]
     /// for runtimes that pre-touch the whole access universe up front
-    /// (the parallel executor clones one frozen mapper per domain, so
-    /// no first-touch assignment may happen after the clone).
+    /// (the machine shares one frozen mapper between all its core units
+    /// and the hub, so no first-touch assignment may happen after that).
     ///
     /// # Panics
     ///

@@ -31,31 +31,6 @@ impl NetworkConfig {
             model_contention: true,
         }
     }
-
-    /// Conservative lookahead for a message that must cross at least
-    /// `min_hops` links: the minimum possible end-to-end latency under
-    /// this configuration.
-    ///
-    /// Every delivery pays `fixed_overhead + hops * link_latency`
-    /// up front; queue wait, extra flits, and perturbation only *add*
-    /// delay ([`Network::send_info`]). A conservative parallel scheduler
-    /// can therefore let a domain run `lookahead_bound` cycles past the
-    /// rest of the machine: nothing sent from another domain "now" can
-    /// arrive sooner. Combine with
-    /// [`Topology::min_inter_domain_hops`](crate::Topology::min_inter_domain_hops):
-    ///
-    /// ```
-    /// use sb_net::NetworkConfig;
-    ///
-    /// let cfg = NetworkConfig::paper_default(64);
-    /// let min_hops = cfg.topology.min_inter_domain_hops(&vec![0; 64]);
-    /// assert_eq!(min_hops, None); // one domain: no cross-domain traffic
-    /// assert_eq!(cfg.lookahead_bound(1), 2 + 7); // adjacent domains
-    /// assert_eq!(cfg.lookahead_bound(0), 2); // co-located endpoints
-    /// ```
-    pub fn lookahead_bound(&self, min_hops: u64) -> u64 {
-        self.fixed_overhead + min_hops * self.link_latency
-    }
 }
 
 /// Latency decomposition of one delivery, as reported by

@@ -145,50 +145,6 @@ impl Torus {
         self.node_at(self.cols / 2, self.rows / 2)
     }
 
-    /// Minimum hop distance between any two tiles assigned to *different*
-    /// domains, or `None` when every tile shares one domain (no
-    /// cross-domain link exists, so the lookahead is unbounded).
-    ///
-    /// `assignment[tile]` is the domain of that tile. This is the
-    /// quantity a conservative parallel scheduler turns into guaranteed
-    /// lookahead: any cross-domain message must traverse at least this
-    /// many links, each costing a fixed latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment` does not cover every tile.
-    ///
-    /// ```
-    /// use sb_net::Torus;
-    ///
-    /// let t = Torus::for_tiles(4); // 2 × 2
-    /// // Adjacent tiles in different domains: one link apart.
-    /// assert_eq!(t.min_inter_domain_hops(&[0, 1, 0, 1]), Some(1));
-    /// assert_eq!(t.min_inter_domain_hops(&[0, 0, 0, 0]), None);
-    /// ```
-    pub fn min_inter_domain_hops(self, assignment: &[usize]) -> Option<u16> {
-        assert!(
-            assignment.len() >= self.tiles() as usize,
-            "assignment covers {} tiles, torus has {}",
-            assignment.len(),
-            self.tiles()
-        );
-        let mut best: Option<u16> = None;
-        for a in 0..self.tiles() {
-            for b in (a + 1)..self.tiles() {
-                if assignment[a as usize] == assignment[b as usize] {
-                    continue;
-                }
-                let h = self.hops(NodeId(a), NodeId(b));
-                best = Some(best.map_or(h, |m| m.min(h)));
-                if best == Some(1) {
-                    return best; // torus minimum for distinct tiles
-                }
-            }
-        }
-        best
-    }
-
     /// Average hop distance from `src` to all other tiles (useful for
     /// calibration tests).
     pub fn mean_hops_from(self, src: NodeId) -> f64 {
@@ -348,7 +304,7 @@ impl ExpressTorus {
     /// Cheapest traversal of ring distance `d` with express links every
     /// `e` tiles: all-local, express-then-walk, or overshoot-and-return.
     /// Zero only when `d` is zero, so distinct routers always cost at
-    /// least one hop and lookahead stays positive.
+    /// least one hop.
     fn dim_cost(d: u16, e: u16) -> u16 {
         if d == 0 {
             return 0;
@@ -381,9 +337,9 @@ impl ExpressTorus {
 }
 
 /// The interconnect fabric: which tiles exist and how many link hops
-/// separate any two of them. All timing (`sb_net::Network`) and the
-/// parallel scheduler's lookahead derive from this one seam, so adding
-/// a fabric here is all it takes to sweep it.
+/// separate any two of them. All timing (`sb_net::Network`) derives
+/// from this one seam, so adding a fabric here is all it takes to sweep
+/// it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Topology {
     /// A plain 2D torus (the paper's fabric).
@@ -489,44 +445,6 @@ impl Topology {
             Topology::CMesh(m) => m.center(),
             Topology::ExpressTorus(x) => x.center(),
         }
-    }
-
-    /// Minimum hop distance between any two tiles assigned to
-    /// *different* domains, or `None` when every tile shares one domain.
-    /// See [`Torus::min_inter_domain_hops`]; on a concentrated mesh the
-    /// minimum can be zero (two co-routed tiles in different domains),
-    /// which a conservative scheduler must treat as "no free lookahead
-    /// from the wire".
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment` does not cover every tile.
-    pub fn min_inter_domain_hops(self, assignment: &[usize]) -> Option<u16> {
-        let tiles = self.tiles();
-        assert!(
-            assignment.len() >= tiles as usize,
-            "assignment covers {} tiles, fabric has {}",
-            assignment.len(),
-            tiles
-        );
-        let floor = match self {
-            Topology::CMesh(_) => 0,
-            _ => 1,
-        };
-        let mut best: Option<u16> = None;
-        for a in 0..tiles {
-            for b in (a + 1)..tiles {
-                if assignment[a as usize] == assignment[b as usize] {
-                    continue;
-                }
-                let h = self.hops(NodeId(a), NodeId(b));
-                best = Some(best.map_or(h, |m| m.min(h)));
-                if best == Some(floor) {
-                    return best;
-                }
-            }
-        }
-        best
     }
 
     /// Average hop distance from `src` to all other tiles.
@@ -655,19 +573,6 @@ mod tests {
             Topology::by_name("xtorus", 64).unwrap().describe(),
             "express torus 8x8 (every 4)"
         );
-    }
-
-    #[test]
-    fn topology_min_inter_domain_hops_variants() {
-        let torus = Topology::for_tiles(4);
-        assert_eq!(torus.min_inter_domain_hops(&[0, 1, 0, 1]), Some(1));
-        assert_eq!(torus.min_inter_domain_hops(&[0, 0, 0, 0]), None);
-        // Two tiles on one cmesh router but in different domains: the
-        // wire grants no lookahead at all.
-        let cm = Topology::by_name("cmesh", 8).unwrap();
-        assert_eq!(cm.min_inter_domain_hops(&[0, 1, 0, 1, 0, 1, 0, 1]), Some(0));
-        // One domain per router keeps a one-hop floor.
-        assert_eq!(cm.min_inter_domain_hops(&[0, 0, 0, 0, 1, 1, 1, 1]), Some(1));
     }
 
     #[test]

@@ -2,15 +2,12 @@
 //!
 //! ```text
 //! cargo run --release -p sb-sim --bin analyze -- \
-//!     [--cores N] [--app NAME] [--proto P|all] [--insns N] [--seed S] [--top K] [--jobs N] [--domains N]
+//!     [--cores N] [--app NAME] [--proto P|all] [--insns N] [--seed S] [--top K] [--jobs N]
 //! ```
 //!
 //! With `--proto all`, the per-protocol runs execute on `--jobs` worker
 //! threads (default: all hardware threads); reports still print in
-//! protocol order, byte-identical to a serial run. `--domains N|auto`
-//! splits each simulated machine over N conservative-PDES domains —
-//! also byte-identical (the causal trace and every waterfall below are
-//! pinned by the determinism battery), only faster on big machines.
+//! protocol order, byte-identical to a serial run.
 //!
 //! For each requested protocol the run is executed with causal tracing
 //! on, every commit's critical path is reconstructed from the flow graph
@@ -41,7 +38,7 @@ use sb_workloads::AppProfile;
 fn usage() -> ! {
     eprintln!(
         "usage: analyze -- [--cores N] [--app NAME] [--proto P|all] \
-         [--insns N] [--seed S] [--top K] [--jobs N|auto] [--domains N|auto]\n\
+         [--insns N] [--seed S] [--top K] [--jobs N|auto]\n\
          \x20      analyze -- --diff A.json B.json"
     );
     std::process::exit(2);
@@ -84,7 +81,6 @@ fn main() {
     let mut seed: u64 = 0x5ca1ab1e;
     let mut top: usize = 5;
     let mut jobs: usize = AUTO_JOBS;
-    let mut domains: usize = 1;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -138,13 +134,6 @@ fn main() {
                     .and_then(|v| sb_sim::parallel::parse_jobs(v))
                     .unwrap_or_else(|| usage());
             }
-            "--domains" => {
-                i += 1;
-                domains = args
-                    .get(i)
-                    .and_then(|v| sb_sim::parallel::parse_domains(v))
-                    .unwrap_or_else(|| usage());
-            }
             _ => usage(),
         }
         i += 1;
@@ -155,7 +144,6 @@ fn main() {
         let mut cfg = SimConfig::paper_default(cores, app, proto);
         cfg.insns_per_thread = insns;
         cfg.seed = seed;
-        cfg.domains = domains;
         cfg.trace = true;
         cfg.obs = sb_sim::ObsConfig::on();
         run_simulation(&cfg)

@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run --release -p sb-sim --bin bench_json [-- --out PATH] [--insns N] [--repeats R] \
 //!     [--cores LIST] [--fabrics LIST] [--protocols LIST] \
-//!     [--jobs N] [--domains N] [--compare BASELINE.json] [--max-regress PCT] \
+//!     [--jobs N] [--compare BASELINE.json] [--max-regress PCT] \
 //!     [--profile] [--max-rss-mb MB]
 //! ```
 //!
@@ -44,20 +44,12 @@
 //! the regression gate) noisy. Use `--jobs` only when regenerating the
 //! simulated fields quickly, not for gating.
 //!
-//! `--domains N|auto` splits each simulated machine over N
-//! conservative-PDES domains. Simulated outcomes (`wall_cycles`,
-//! `commits`) are bit-identical at any value; host-side throughput is
-//! what changes, so this is how the intra-run speedup in EXPERIMENTS.md
-//! is measured. The default stays `1` — the checked-in baseline and the
-//! regression gate are single-threaded-machine numbers.
-//!
 //! `--profile` turns on the executor's host self-profiling
 //! (`cfg.obs.profile`) and adds per-cell `prof_*` fields: superphase
-//! counts, hub utilization and busy time, barrier-stall time,
-//! calendar-queue tier push counts, and peak RSS. Off by default so the
-//! gated measurement stays exactly the baseline configuration
-//! (profiling costs two clock reads per superphase — small, but a gate
-//! should compare like with like).
+//! counts, hub utilization, calendar-queue tier push counts, and peak
+//! RSS. Off by default so the gated measurement stays exactly the
+//! baseline configuration (profiling costs two clock reads per
+//! superphase — small, but a gate should compare like with like).
 
 use sb_net::Topology;
 use sb_obs::json::JsonValue;
@@ -81,7 +73,6 @@ fn main() {
     let mut compare: Option<String> = None;
     let mut max_regress: f64 = 15.0;
     let mut jobs: usize = 1;
-    let mut domains: usize = 1;
     let mut profile = false;
     let mut cores_list: Vec<u16> = vec![8, 32, 64];
     let mut fabrics: Vec<String> = vec!["torus".to_string()];
@@ -123,13 +114,6 @@ fn main() {
                     .get(i)
                     .and_then(|v| sb_sim::parallel::parse_jobs(v))
                     .expect("--jobs N|auto");
-            }
-            "--domains" => {
-                i += 1;
-                domains = args
-                    .get(i)
-                    .and_then(|v| sb_sim::parallel::parse_domains(v))
-                    .expect("--domains N|auto");
             }
             "--cores" => {
                 i += 1;
@@ -175,7 +159,12 @@ fn main() {
                 );
             }
             other => {
-                eprintln!("unknown argument {other:?}");
+                eprintln!(
+                    "unknown argument {other:?}\n\
+                     usage: bench_json [--out PATH] [--insns N] [--repeats R] [--cores LIST] \
+                     [--fabrics LIST] [--protocols LIST] [--jobs N] [--compare BASELINE.json] \
+                     [--max-regress PCT] [--profile] [--max-rss-mb MB]"
+                );
                 std::process::exit(2);
             }
         }
@@ -204,7 +193,6 @@ fn main() {
         let (cores, protocol) = (*cores, *protocol);
         let mut cfg = SimConfig::paper_default(cores, AppProfile::fft(), protocol);
         cfg.insns_per_thread = insns;
-        cfg.domains = domains;
         cfg.obs.profile = profile;
         cfg.set_topology(Topology::by_name(fabric, cores).expect("fabric validated at parse"));
         let mut best: Option<sb_sim::RunResult> = None;
@@ -292,7 +280,7 @@ fn main() {
                     "    {{\"prof\": true, \"protocol\": \"{}\", \"cores\": {}, ",
                     "\"fabric\": \"{}\", ",
                     "\"superphases\": {}, \"hub_busy_phases\": {}, ",
-                    "\"hub_utilization\": {:.6}, \"barrier_stall_secs\": {:.6}, ",
+                    "\"hub_utilization\": {:.6}, ",
                     "\"queue_ring_pushes\": {}, \"queue_far_pushes\": {}, ",
                     "\"queue_past_pushes\": {}, \"peak_rss_bytes\": {}}}{}\n"
                 ),
@@ -302,7 +290,6 @@ fn main() {
                 c("prof.superphases"),
                 c("prof.hub_busy_phases"),
                 m.gauge("prof.hub_utilization").unwrap_or(0.0),
-                m.gauge("prof.barrier_stall_secs").unwrap_or(0.0),
                 c("prof.queue.ring_pushes"),
                 c("prof.queue.far_pushes"),
                 c("prof.queue.past_pushes"),

@@ -11,12 +11,6 @@
 //! fully serial). Output is byte-identical at any value — results merge
 //! in work-list order, not completion order.
 //!
-//! `--domains N|auto` additionally splits *each* simulation over N
-//! conservative-PDES domains (default 1: single-threaded machines).
-//! Like `--jobs`, this is pure wall-clock: every table is byte-identical
-//! at any domain count — the CI determinism step diffs `figures fig7`
-//! output at `--domains 1` vs `--domains 4` to enforce it.
-//!
 //! `--timing` appends a host-side simulator-throughput probe (events/sec,
 //! sim-cycles/sec per core count, per-phase wall times from the metrics
 //! registry, commit-latency percentiles) after the requested figures; it
@@ -40,8 +34,8 @@
 //! exact critical-path attribution) as canonical JSON — the input
 //! format of `analyze --diff`. `--series-window N` overrides the
 //! window width in simulated cycles (default: ~64 windows over the
-//! run). Output is byte-identical at any `--jobs`/`--domains` value —
-//! the CI profile-smoke step diffs it across both to enforce that.
+//! run). Output is byte-identical at any `--jobs` value — the CI
+//! profile-smoke step diffs it across job counts to enforce that.
 //!
 //! IDs: `table1 table2 table3 fig7 fig8 fig9 fig10 fig11 fig12 fig13
 //! fig14 fig15 fig16 fig17 fig18 fig19 ablation_oci ablation_sig
@@ -59,7 +53,7 @@ use sb_workloads::{AppProfile, Suite};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures -- <table1|table2|table3|fig7..fig19|ablation_oci|ablation_sig|ablation_rotation|scaling|all> [--insns N] [--seed S] [--jobs N|auto] [--domains N|auto] [--cores LIST] [--fabrics LIST] [--csv DIR] [--timing] [--attribution] [--trace-out PATH] [--series-out PATH] [--series-window N]"
+        "usage: figures -- <table1|table2|table3|fig7..fig19|ablation_oci|ablation_sig|ablation_rotation|scaling|all> [--insns N] [--seed S] [--jobs N|auto] [--cores LIST] [--fabrics LIST] [--csv DIR] [--timing] [--attribution] [--trace-out PATH] [--series-out PATH] [--series-window N]"
     );
     std::process::exit(2);
 }
@@ -78,7 +72,6 @@ fn timing_probe(sweep: &Sweep) {
             SimConfig::paper_default(cores, AppProfile::fft(), ProtocolKind::ScalableBulk);
         cfg.insns_per_thread = sweep.insns_per_thread;
         cfg.seed = sweep.seed;
-        cfg.domains = sweep.domains;
         let r = run_simulation(&cfg);
         println!("{:>3} cores: {}", cores, r.perf.render());
         println!("          {}", render_phases(&r.metrics));
@@ -113,7 +106,6 @@ fn attribution_probe(sweep: &Sweep) {
         let mut cfg = SimConfig::paper_default(64, AppProfile::fft(), proto);
         cfg.insns_per_thread = sweep.insns_per_thread;
         cfg.seed = sweep.seed;
-        cfg.domains = sweep.domains;
         cfg.trace = true;
         cfg.obs = sb_sim::ObsConfig::on();
         let r = run_simulation(&cfg);
@@ -167,7 +159,6 @@ fn trace_out(sweep: &Sweep, path: &std::path::Path) {
     let mut cfg = SimConfig::paper_default(8, AppProfile::fft(), ProtocolKind::ScalableBulk);
     cfg.insns_per_thread = sweep.insns_per_thread;
     cfg.seed = sweep.seed;
-    cfg.domains = sweep.domains;
     cfg.trace = true;
     cfg.obs = sb_sim::ObsConfig::on();
     let r = run_simulation(&cfg);
@@ -190,7 +181,6 @@ fn series_out(sweep: &Sweep, path: &std::path::Path, window: u64) {
     let mut cfg = SimConfig::paper_default(8, AppProfile::fft(), ProtocolKind::ScalableBulk);
     cfg.insns_per_thread = sweep.insns_per_thread;
     cfg.seed = sweep.seed;
-    cfg.domains = sweep.domains;
     cfg.trace = true;
     cfg.obs = sb_sim::ObsConfig::on();
     cfg.obs.series_window = window;
@@ -272,13 +262,6 @@ fn main() {
                 sweep.jobs = args
                     .get(i)
                     .and_then(|v| sb_sim::parallel::parse_jobs(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--domains" => {
-                i += 1;
-                sweep.domains = args
-                    .get(i)
-                    .and_then(|v| sb_sim::parallel::parse_domains(v))
                     .unwrap_or_else(|| usage());
             }
             "--cores" => {

@@ -1,19 +1,15 @@
-//! Host self-profiling report for the two-plane parallel executor.
+//! Host self-profiling report for the two-plane superphase executor.
 //!
 //! ```text
 //! cargo run --release -p sb-sim --bin profile -- \
-//!     [--cores N] [--app NAME] [--proto P] [--insns N] [--seed S] \
-//!     [--domains N|auto] [--out PATH]
+//!     [--cores N] [--app NAME] [--proto P] [--insns N] [--seed S] [--out PATH]
 //! ```
 //!
 //! Runs one simulation with `cfg.obs.profile` on (independent of the
 //! observability log — profiling alone allocates nothing per event) and
-//! prints where the *host* time went: per-superphase busy time per
-//! core-unit domain, hub-plane utilization, barrier-stall time, the
-//! calendar queue's tier occupancy/overflow counters, and peak RSS.
-//! This is the tool for answering "why doesn't `--domains 4` speed this
-//! run up?" — a hub utilization near 1.0 or one domain's busy time
-//! dominating the others is the answer.
+//! prints where the *host* time went: core-unit (plane A) busy time,
+//! hub-plane utilization, the calendar queue's tier occupancy/overflow
+//! counters, and peak RSS.
 //!
 //! Profiling never touches simulated state: wall cycles and commits are
 //! bit-identical with profiling on or off (the golden-trace battery
@@ -30,7 +26,7 @@ use sb_workloads::AppProfile;
 fn usage() -> ! {
     eprintln!(
         "usage: profile -- [--cores N] [--app NAME] [--proto P] [--insns N] \
-         [--seed S] [--domains N|auto] [--out PATH]"
+         [--seed S] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -42,7 +38,6 @@ fn main() {
     let mut proto = ProtocolKind::ScalableBulk;
     let mut insns: u64 = 10_000;
     let mut seed: u64 = 0x5ca1ab1e;
-    let mut domains: usize = 1;
     let mut out: Option<std::path::PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
@@ -82,13 +77,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--domains" => {
-                i += 1;
-                domains = args
-                    .get(i)
-                    .and_then(|v| sb_sim::parallel::parse_domains(v))
-                    .unwrap_or_else(|| usage());
-            }
             "--out" => {
                 i += 1;
                 out = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
@@ -101,7 +89,6 @@ fn main() {
     let mut cfg = SimConfig::paper_default(cores, app, proto);
     cfg.insns_per_thread = insns;
     cfg.seed = seed;
-    cfg.domains = domains;
     cfg.obs.profile = true;
     let r = run_simulation(&cfg);
     let m = &r.metrics;
@@ -109,7 +96,7 @@ fn main() {
     let g = |name: &str| m.gauge(name).unwrap_or(0.0);
 
     println!(
-        "== executor profile: {} on {cores} cores under {proto} ({insns} insns/thread, seed {seed:#x}, --domains {domains}) ==",
+        "== executor profile: {} on {cores} cores under {proto} ({insns} insns/thread, seed {seed:#x}) ==",
         app.name
     );
     println!(
@@ -124,19 +111,10 @@ fn main() {
         "superphases: {superphases} ({} in drain)",
         c("prof.drain_superphases")
     );
-    let n_domains = g("prof.domains") as usize;
-    for d in 0..n_domains {
-        let busy = g(&format!("prof.domain_busy_secs.d{d}"));
-        let label = if d == 0 && n_domains > 1 {
-            " (main thread)"
-        } else {
-            ""
-        };
-        println!("  domain {d}{label}: {busy:.6}s busy in plane A");
-    }
-    if n_domains > 1 {
-        println!("  barrier stall: {:.6}s", g("prof.barrier_stall_secs"));
-    }
+    println!(
+        "core units plane A: {:.6}s busy",
+        g("prof.domain_busy_secs.d0")
+    );
     println!(
         "hub plane B: busy {}/{} phases (utilization {:.3}), {:.6}s",
         c("prof.hub_busy_phases"),
@@ -168,7 +146,6 @@ fn main() {
                     ("cores", (cores as u64).into()),
                     ("insns_per_thread", insns.into()),
                     ("seed", seed.into()),
-                    ("domains", (domains as u64).into()),
                 ]),
             ),
             (

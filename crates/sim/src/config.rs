@@ -83,20 +83,15 @@ pub struct SimConfig {
     /// [`ObsLog`](crate::ObsLog) is recorded, the simulated-cycle window
     /// width for derived time-series, and whether the executor profiles
     /// its own host-side costs. All off by default — purely observational
-    /// but the log costs memory. Assigning an [`ObsConfig`] (or `true`
-    /// via [`ObsConfig::from`]) never changes simulated results.
+    /// but the log costs memory. Assigning an [`ObsConfig`] never changes
+    /// simulated results.
     pub obs: ObsConfig,
     /// Deliberate, test-only protocol sabotage for proving the `sb-check`
     /// oracle detects real bugs. Must stay `None` outside oracle
     /// self-tests.
     pub inject_bug: Option<InjectedBug>,
-    /// Intra-run parallelism: the machine's per-core schedulers are
-    /// spread over this many worker threads, advancing in conservative
-    /// lookahead windows derived from the network's minimum latency.
-    /// Results are bit-identical at any value (the determinism battery
-    /// pins this); only wall-clock time changes. `0` means `auto`
-    /// (capped at the host's available parallelism and at `cores`);
-    /// the default `1` runs single-threaded.
+    /// Ignored; the machine is serial; kept only because the benchmark
+    /// package assigns it.
     pub domains: usize,
 }
 
@@ -114,8 +109,8 @@ pub struct SimConfig {
 /// the recorded log or simulated results.
 ///
 /// `profile` turns on host self-profiling of the two-plane executor
-/// (per-domain phase wall-time, barrier stall, hub-horizon utilization,
-/// calendar-queue tier traffic, peak RSS), surfaced as `prof.*` metrics.
+/// (per-plane phase wall-time, hub-horizon utilization, calendar-queue
+/// tier traffic, peak RSS), surfaced as `prof.*` metrics.
 /// Profiling measures only wall-clock and allocator behaviour of the
 /// host — simulated results stay bit-identical.
 ///
@@ -154,16 +149,6 @@ impl ObsConfig {
         ObsConfig {
             enabled: true,
             profile: true,
-            ..Default::default()
-        }
-    }
-}
-
-impl From<bool> for ObsConfig {
-    /// `true` maps to [`ObsConfig::on`], `false` to all-off.
-    fn from(enabled: bool) -> Self {
-        ObsConfig {
-            enabled,
             ..Default::default()
         }
     }
@@ -292,7 +277,6 @@ mod tests {
         assert!(!cfg.obs.enabled && !cfg.obs.profile);
         assert_eq!(cfg.obs.series_window, 0);
         assert_eq!(cfg.inject_bug, None);
-        assert_eq!(cfg.domains, 1);
     }
 
     #[test]

@@ -32,10 +32,6 @@ pub struct Sweep {
     /// hardware thread). Only wall-clock depends on this; every table is
     /// byte-identical at any value.
     pub jobs: usize,
-    /// Intra-run parallel domains per simulation (see
-    /// [`SimConfig::domains`]). Like `jobs`, only wall-clock depends on
-    /// this; every table is byte-identical at any value.
-    pub domains: usize,
 }
 
 impl Default for Sweep {
@@ -44,7 +40,6 @@ impl Default for Sweep {
             insns_per_thread: 20_000,
             seed: 0x5ca1ab1e,
             jobs: AUTO_JOBS,
-            domains: 1,
         }
     }
 }
@@ -74,7 +69,6 @@ impl RunSet {
                     let mut cfg = SimConfig::paper_default(cores, *app, p);
                     cfg.insns_per_thread = sweep.insns_per_thread;
                     cfg.seed = sweep.seed;
-                    cfg.domains = sweep.domains;
                     work.push((app.name.to_string(), cores, p, cfg));
                 }
             }
@@ -84,7 +78,6 @@ impl RunSet {
                 for &cores in cores_list {
                     let mut cfg = SimConfig::single_processor(*app, cores, sweep.insns_per_thread);
                     cfg.seed = sweep.seed;
-                    cfg.domains = sweep.domains;
                     work.push((
                         format!("{}@1p{}", app.name, cores),
                         0,
@@ -480,7 +473,6 @@ pub fn ablation_oci_table(apps: &[AppProfile], sweep: &Sweep) -> TextTable {
             let mut cfg = SimConfig::paper_default(64, *app, ProtocolKind::ScalableBulk);
             cfg.insns_per_thread = sweep.insns_per_thread;
             cfg.seed = sweep.seed;
-            cfg.domains = sweep.domains;
             cfg.oci = oci;
             work.push((app, oci, cfg));
         }
@@ -514,7 +506,6 @@ pub fn ablation_signature_table(app: AppProfile, sweep: &Sweep) -> TextTable {
             let mut cfg = SimConfig::paper_default(64, app, ProtocolKind::ScalableBulk);
             cfg.insns_per_thread = sweep.insns_per_thread;
             cfg.seed = sweep.seed;
-            cfg.domains = sweep.domains;
             cfg.sig = sb_sigs::SignatureConfig::new(bits, 4);
             (bits, cfg)
         })
@@ -559,7 +550,6 @@ pub fn seq_ts_table(sweep: &Sweep) -> TextTable {
             let mut cfg = SimConfig::paper_default(64, app, proto);
             cfg.insns_per_thread = sweep.insns_per_thread;
             cfg.seed = sweep.seed;
-            cfg.domains = sweep.domains;
             work.push((app, proto, cfg));
         }
     }
@@ -587,7 +577,6 @@ pub fn ablation_rotation_table(app: AppProfile, sweep: &Sweep) -> TextTable {
             let mut cfg = SimConfig::paper_default(64, app, ProtocolKind::ScalableBulk);
             cfg.insns_per_thread = sweep.insns_per_thread;
             cfg.seed = sweep.seed;
-            cfg.domains = sweep.domains;
             cfg.sb.rotation_interval = interval;
             (interval, cfg)
         })
@@ -633,7 +622,6 @@ pub fn scaling_table(sweep: &Sweep, cores_list: &[u16], fabrics: &[String]) -> T
         let mut cfg = SimConfig::paper_default(*cores, AppProfile::fft(), *p);
         cfg.insns_per_thread = sweep.insns_per_thread;
         cfg.seed = sweep.seed;
-        cfg.domains = sweep.domains;
         cfg.trace = true;
         cfg.obs = crate::ObsConfig::on();
         let topo = Topology::by_name(fabric, *cores)
@@ -700,7 +688,6 @@ mod tests {
             insns_per_thread: 6_000,
             seed: 7,
             jobs: AUTO_JOBS,
-            domains: 1,
         }
     }
 

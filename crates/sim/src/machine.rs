@@ -1,17 +1,16 @@
 //! The full-system discrete-event machine.
 //!
-//! # Two-plane conservative parallel executor
+//! # Two-plane superphase executor
 //!
 //! The machine's event space is partitioned into two planes:
 //!
 //! * **Plane A** — one [`CoreUnit`] per simulated core: instruction
 //!   execution, the private cache hierarchy, chunk windows, squash
 //!   handling, and the core-side injection port of the torus. Units
-//!   never touch each other's state, so a superphase's A-side work can
-//!   run on any number of worker threads.
-//! * **Plane B** — the serial [`Hub`]: the commit protocol, the
-//!   directory modules, and the directory-side injection ports. All
-//!   protocol serialization decisions stay on one thread.
+//!   never touch each other's state.
+//! * **Plane B** — the [`Hub`]: the commit protocol, the directory
+//!   modules, and the directory-side injection ports. All protocol
+//!   serialization decisions live here.
 //!
 //! The planes exchange *mail*: units emit [`CoreToB`] messages (read
 //! requests arriving at a home directory, commit requests, bulk-inv
@@ -19,12 +18,10 @@
 //! invalidations, commit outcomes). Execution alternates A and B
 //! *superphases* under a conservative horizon:
 //!
-//! * `G` = the earliest pending event anywhere (hub queue, unit queues,
-//!   undelivered mail);
-//! * the A phase lets every unit drain events strictly below
-//!   `G + margin`, where `margin = fixed_overhead.max(1)` — the
-//!   network's [`lookahead`](sb_net::NetworkConfig::lookahead_bound)
-//!   floor, since any hub→core message sent at or after `G` arrives at
+//! * `G` = the earliest pending event anywhere (hub queue, unit queues);
+//! * the A phase lets every unit, in index order, drain events strictly
+//!   below `G + margin`, where `margin = fixed_overhead.max(1)`: any
+//!   hub→core message sent at or after `G` arrives at
 //!   `G + fixed_overhead` at the earliest (perturbation only *adds*
 //!   delay);
 //! * the B phase then drains the hub strictly below the earliest
@@ -32,23 +29,18 @@
 //!   mail arrival it generates, so the hub never runs past a message a
 //!   unit still has to see.
 //!
-//! The phase schedule is computed from global state only, never from
-//! the thread layout, and all mail is merged in a fixed (unit index,
-//! generation) order — so the simulation is **bit-identical at every
-//! `domains` setting, including 1** (the determinism battery pins
-//! this). `SimConfig::domains` chooses how many OS threads the units
-//! are spread over; it changes wall-clock time and nothing else.
+//! The superphase schedule defines simulated timing (the goldens pin
+//! it). Mail crosses the plane boundary in a fixed (unit index,
+//! generation) order.
 //!
-//! Observability (causal flows, the chunk-lifecycle trace, the obs
-//! log) is recorded into per-plane buffers tagged with the superphase
-//! index and merged at the end of the run: flows get dense 1-based ids
-//! in merged order (parents always precede children), and cross-plane
-//! `delivered_at` patches are applied as max-merges — so the exported
-//! artifacts are byte-identical at any domain count too.
+//! Observability (causal flows, the chunk-lifecycle trace, the obs log)
+//! goes to one [`Recorder`] owned by the machine and lent to whichever
+//! plane is running. Recording happens in execution order, so flows get
+//! dense 1-based ids as they are allocated (parents always precede
+//! children) and `delivered_at` is patched in place.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 use sb_chunks::{ChunkSpec, ChunkTag, ChunkWindow, CommitRequest};
 use sb_engine::{Cycle, EventQueue, FxHashMap, FxHashSet};
@@ -68,7 +60,6 @@ use sb_workloads::WorkloadGen;
 
 use crate::config::{InjectedBug, SimConfig};
 use crate::obs::{FlowEvent, FlowKind, ObsEvent, ObsKind, ObsLog};
-use crate::parallel::effective_domains;
 use crate::result::RunResult;
 use crate::sched::{ChoiceSite, Scheduler};
 use crate::trace::{ChunkSnapshot, RunTrace, TraceEvent};
@@ -77,13 +68,6 @@ use crate::trace::{ChunkSnapshot, RunTrace, TraceEvent};
 /// event counts by an order of magnitude while keeping the time skew
 /// between a core's local progress and cross-core events small.
 const STEP_BATCH: usize = 32;
-
-/// Bit position where a core unit's provisional flow-id namespace
-/// starts: unit `i` allocates ids `(i+1) << FLOW_UNIT_SHIFT | local`,
-/// the hub allocates plain `local` (both 1-based). The namespaces are
-/// erased at merge time, when flows are renumbered densely in the
-/// deterministic merged order.
-const FLOW_UNIT_SHIFT: u32 = 40;
 
 /// Reborrows an optional scheduler for a nested call. (A plain
 /// `as_deref_mut` can't shorten the trait object's lifetime bound behind
@@ -97,8 +81,7 @@ fn resched<'s>(sched: &'s mut Option<&mut dyn Scheduler>) -> Option<&'s mut dyn 
 
 /// SplitMix64 finalizer; spreads a unit index into an uncorrelated
 /// perturbation-seed offset so each unit's timing-adversary stream is
-/// independent of its neighbours' (and of the domain count, which never
-/// enters the computation).
+/// independent of its neighbours'.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -219,13 +202,11 @@ impl<M> BEv<M> {
 }
 
 /// Machine state visible to protocols: the hub's clock plus read access
-/// to the directory modules. Directory reads take the shared lock per
-/// call — never held across protocol up-calls, so the B phase can
-/// freely take the write lock between them.
+/// to the directory modules.
 struct BView<'a> {
     now: Cycle,
     cores: u16,
-    dirs: &'a RwLock<Vec<DirectoryState>>,
+    dirs: &'a [DirectoryState],
 }
 
 impl MachineView for BView<'_> {
@@ -236,10 +217,10 @@ impl MachineView for BView<'_> {
         self.cores
     }
     fn dirs(&self) -> u16 {
-        self.dirs.read().expect("dirs lock").len() as u16
+        self.dirs.len() as u16
     }
     fn sharers_matching(&self, dir: DirId, wsig: &Signature, committer: CoreId) -> CoreSet {
-        self.dirs.read().expect("dirs lock")[dir.idx()].sharers_matching(wsig, committer)
+        self.dirs[dir.idx()].sharers_matching(wsig, committer)
     }
 }
 
@@ -326,10 +307,83 @@ impl CoreCtx {
     }
 }
 
+/// The run's one observation recorder: the chunk-lifecycle trace, the
+/// obs log, and the causal flow DAG, in execution order. Owned by the
+/// [`Machine`] and lent to whichever plane is dispatching.
+struct Recorder {
+    trace_on: bool,
+    obs_on: bool,
+    trace: Vec<TraceEvent>,
+    obs: Vec<ObsEvent>,
+    flows: Vec<FlowEvent>,
+    /// The flow being dispatched: parent of every flow its handler records.
+    cause: FlowId,
+}
+
+impl Recorder {
+    /// Enters the handler of an event caused by `cause` at `t`, patching
+    /// the cause's `delivered_at` up to the handler time (the
+    /// critical-path exactness invariant).
+    fn dispatch(&mut self, cause: FlowId, t: Cycle) {
+        self.cause = cause;
+        if !self.obs_on || cause.is_none() {
+            return;
+        }
+        let f = &mut self.flows[(cause.0 - 1) as usize];
+        if f.delivered_at < t {
+            f.delivered_at = t;
+        }
+    }
+
+    /// Allocates the next dense flow id, parented to the flow being
+    /// dispatched. Returns [`FlowId::NONE`] (and records nothing) when
+    /// observability is off.
+    #[allow(clippy::too_many_arguments)]
+    fn flow(
+        &mut self,
+        kind: FlowKind,
+        label: &'static str,
+        tag: Option<ChunkTag>,
+        src: Endpoint,
+        dst: Endpoint,
+        sent_at: Cycle,
+        delivered_at: Cycle,
+        net: Option<sb_net::SendInfo>,
+    ) -> FlowId {
+        if !self.obs_on {
+            return FlowId::NONE;
+        }
+        let id = FlowId(self.flows.len() as u64 + 1);
+        self.flows.push(FlowEvent {
+            id,
+            parent: self.cause,
+            kind,
+            label,
+            tag,
+            src,
+            dst,
+            sent_at,
+            delivered_at,
+            net,
+        });
+        id
+    }
+
+    fn obs(&mut self, at: Cycle, kind: ObsKind) {
+        if self.obs_on {
+            self.obs.push(ObsEvent { at, kind });
+        }
+    }
+
+    fn trace(&mut self, ev: TraceEvent) {
+        if self.trace_on {
+            self.trace.push(ev);
+        }
+    }
+}
+
 /// One plane-A scheduler: a core, its caches and chunk window, its own
 /// event queue, clock, injection port, workload stream, and statistics.
-/// There is exactly one unit per core at *every* domain count — domains
-/// only distribute the units over worker threads.
 struct CoreUnit {
     core: u16,
     cfg: SimConfig,
@@ -339,8 +393,7 @@ struct CoreUnit {
     now: Cycle,
     /// Core-side network ports: this unit's requests and acks inject
     /// here. Directory-side traffic uses the hub's network; the split
-    /// keeps injection-port state unit-local (and therefore domain-count
-    /// independent).
+    /// keeps injection-port state unit-local.
     net: Network,
     mapper: Arc<PageMapper>,
     workload: WorkloadGen,
@@ -356,17 +409,6 @@ struct CoreUnit {
     outcome_failures: u64,
     latency: LatencyDist,
     dirs_stat: DirsPerCommit,
-    // ---- phase-tagged observation buffers, merged at freeze ----
-    trace_on: bool,
-    obs_on: bool,
-    trace_buf: Vec<(u64, TraceEvent)>,
-    obs_buf: Vec<(u64, ObsEvent)>,
-    flow_buf: Vec<(u64, FlowEvent)>,
-    /// `delivered_at` max-patches against flows another plane allocated.
-    flow_fixups: Vec<(FlowId, Cycle)>,
-    flow_next: u64,
-    cur_cause: FlowId,
-    phase_tag: u64,
     supports_held_invs: bool,
     finish_reported: bool,
 }
@@ -374,16 +416,15 @@ struct CoreUnit {
 impl CoreUnit {
     /// Drains every pending event strictly below `horizon`, in exact
     /// `(cycle, seq)` order — or, when a [`Scheduler`] is plugged in, in
-    /// the order it picks within each same-cycle batch. The directory
-    /// read guard is held for the whole phase: plane B only mutates
-    /// directories while no A phase is running.
+    /// the order it picks within each same-cycle batch. Plane B only
+    /// mutates directories while no A phase is running.
     fn run_phase(
         &mut self,
         horizon: Cycle,
-        dirs: &RwLock<Vec<DirectoryState>>,
+        dirs: &[DirectoryState],
+        rec: &mut Recorder,
         mut sched: Option<&mut dyn Scheduler>,
     ) {
-        let dirs = dirs.read().expect("dirs lock");
         loop {
             if self.batch.is_empty() {
                 // `advance_until` refills with exactly one cycle's
@@ -408,7 +449,7 @@ impl CoreUnit {
             let Some((at, ev)) = next else { break };
             self.now = self.now.max_of(at);
             self.events += 1;
-            self.dispatch(ev, &dirs);
+            self.dispatch(ev, dirs, rec);
         }
     }
 
@@ -443,13 +484,12 @@ impl CoreUnit {
         }
     }
 
-    fn dispatch(&mut self, ev: AEv, dirs: &[DirectoryState]) {
-        self.cur_cause = ev.cause();
-        self.note_delivery();
+    fn dispatch(&mut self, ev: AEv, dirs: &[DirectoryState], rec: &mut Recorder) {
+        rec.dispatch(ev.cause(), self.now);
         match ev {
             AEv::Step { epoch } => {
                 if self.ctx.epoch == epoch {
-                    self.step(dirs);
+                    self.step(dirs, rec);
                 }
             }
             AEv::ReadDone {
@@ -468,85 +508,13 @@ impl CoreUnit {
                 tag,
                 wsig,
                 cause: _,
-            } => self.bulk_inv_at_core(from, tag, wsig),
+            } => self.bulk_inv_at_core(from, tag, wsig, rec),
             AEv::Outcome {
                 tag,
                 success,
                 cause: _,
-            } => self.outcome(tag, success),
-            AEv::Retry { tag, cause: _ } => self.retry(tag),
-        }
-    }
-
-    // ----- observation plumbing ------------------------------------------
-
-    /// Patches the dispatched cause's `delivered_at` up to the handler
-    /// time (the critical-path exactness invariant): directly for own
-    /// flows, via a merge-time fixup for flows the hub allocated.
-    fn note_delivery(&mut self) {
-        let cause = self.cur_cause;
-        if !self.obs_on || cause.is_none() {
-            return;
-        }
-        let t = self.now;
-        let ns = (self.core as u64 + 1) << FLOW_UNIT_SHIFT;
-        if cause.0 >> FLOW_UNIT_SHIFT == self.core as u64 + 1 {
-            let f = &mut self.flow_buf[(cause.0 - ns - 1) as usize].1;
-            if f.delivered_at < t {
-                f.delivered_at = t;
-            }
-        } else {
-            self.flow_fixups.push((cause, t));
-        }
-    }
-
-    /// Allocates a causal-flow record in this unit's provisional
-    /// namespace, parented to the flow being dispatched. Returns
-    /// [`FlowId::NONE`] (and records nothing) when observability is off.
-    #[allow(clippy::too_many_arguments)]
-    fn flow(
-        &mut self,
-        kind: FlowKind,
-        label: &'static str,
-        tag: Option<ChunkTag>,
-        src: Endpoint,
-        dst: Endpoint,
-        sent_at: Cycle,
-        delivered_at: Cycle,
-        net: Option<sb_net::SendInfo>,
-    ) -> FlowId {
-        if !self.obs_on {
-            return FlowId::NONE;
-        }
-        self.flow_next += 1;
-        let id = FlowId(((self.core as u64 + 1) << FLOW_UNIT_SHIFT) | self.flow_next);
-        self.flow_buf.push((
-            self.phase_tag,
-            FlowEvent {
-                id,
-                parent: self.cur_cause,
-                kind,
-                label,
-                tag,
-                src,
-                dst,
-                sent_at,
-                delivered_at,
-                net,
-            },
-        ));
-        id
-    }
-
-    fn push_obs(&mut self, at: Cycle, kind: ObsKind) {
-        if self.obs_on {
-            self.obs_buf.push((self.phase_tag, ObsEvent { at, kind }));
-        }
-    }
-
-    fn push_trace(&mut self, ev: TraceEvent) {
-        if self.trace_on {
-            self.trace_buf.push((self.phase_tag, ev));
+            } => self.outcome(tag, success, rec),
+            AEv::Retry { tag, cause: _ } => self.retry(tag, rec),
         }
     }
 
@@ -554,7 +522,7 @@ impl CoreUnit {
 
     /// Ensures the core has a chunk to execute; returns false if the core
     /// is (now) finished or must wait.
-    fn ensure_chunk(&mut self) -> bool {
+    fn ensure_chunk(&mut self, rec: &mut Recorder) -> bool {
         let t = self.now;
         let core = self.core;
         let c = &mut self.ctx;
@@ -594,15 +562,15 @@ impl CoreUnit {
         c.pos = 0;
         c.spec = Some(spec);
         c.phase = Phase::Running;
-        self.push_trace(TraceEvent::ExecStart { core, tag, at: t });
+        rec.trace(TraceEvent::ExecStart { core, tag, at: t });
         true
     }
 
     /// Executes up to [`STEP_BATCH`] accesses of the core's current chunk.
-    fn step(&mut self, dirs: &[DirectoryState]) {
+    fn step(&mut self, dirs: &[DirectoryState], rec: &mut Recorder) {
         let mut t = self.now;
         for _ in 0..STEP_BATCH {
-            if !self.ensure_chunk() {
+            if !self.ensure_chunk(rec) {
                 return;
             }
             let (access, gap, first, len) = {
@@ -617,7 +585,7 @@ impl CoreUnit {
             };
             let Some(access) = access else {
                 // Chunk finished executing (possibly with zero accesses).
-                self.finish_chunk(t, len);
+                self.finish_chunk(t, len, rec);
                 continue;
             };
             // Non-memory instructions before this access, plus the access.
@@ -774,7 +742,7 @@ impl CoreUnit {
 
     // ----- commit lifecycle -----------------------------------------------
 
-    fn finish_chunk(&mut self, t: Cycle, _accesses: usize) {
+    fn finish_chunk(&mut self, t: Cycle, _accesses: usize, rec: &mut Recorder) {
         let core = self.core;
         let (tag, req, spec) = {
             let c = &mut self.ctx;
@@ -803,14 +771,11 @@ impl CoreUnit {
             self.ctx.waiting_commit = Some(pending);
             return;
         }
-        if std::env::var_os("SB_TRACE_COMMIT").is_some() {
-            eprintln!("[commit] {} start at {}", tag, t);
-        }
         self.ctx.pending_commit = Some(pending);
         // Root the chunk's causal chain at the commit-request instant
         // (`started`, the origin of the recorded latency); the protocol
         // commands the hub issues parent to it across the plane boundary.
-        let cause = self.flow(
+        let cause = rec.flow(
             FlowKind::CommitStart,
             "commit start",
             Some(tag),
@@ -825,7 +790,7 @@ impl CoreUnit {
 
     // ----- commit outcomes ------------------------------------------------
 
-    fn outcome(&mut self, tag: ChunkTag, success: bool) {
+    fn outcome(&mut self, tag: ChunkTag, success: bool, rec: &mut Recorder) {
         let t = self.now;
         let core = self.core;
         let matches = self
@@ -838,14 +803,6 @@ impl CoreUnit {
         }
         if success {
             let p = self.ctx.pending_commit.take().expect("matched");
-            if std::env::var_os("SB_TRACE_COMMIT").is_some() {
-                eprintln!(
-                    "[commit] {} success at {} (lat {})",
-                    tag,
-                    t,
-                    (t - p.started).as_u64()
-                );
-            }
             let inv = {
                 let c = &mut self.ctx;
                 let retired = c.window.retire_oldest();
@@ -853,7 +810,7 @@ impl CoreUnit {
                 c.committed_insns += p.spec.instructions();
                 c.invested.remove(&tag).unwrap_or_default()
             };
-            self.push_obs(
+            rec.obs(
                 t,
                 ObsKind::ChunkDone {
                     core,
@@ -863,7 +820,7 @@ impl CoreUnit {
                     cache: inv.cache,
                 },
             );
-            if self.trace_on {
+            if rec.trace_on {
                 // Exact footprint from the spec: `step` records every spec
                 // access into the chunk's sets, so this reconstructs the
                 // retired chunk's read/write sets independently.
@@ -876,7 +833,7 @@ impl CoreUnit {
                         reads.insert(a.line);
                     }
                 }
-                self.push_trace(TraceEvent::Committed {
+                rec.trace(TraceEvent::Committed {
                     core,
                     tag,
                     at: t,
@@ -900,7 +857,7 @@ impl CoreUnit {
                 // its causal chain gets a fresh root at `t` (still
                 // parented to the older chunk's success flow — truthful
                 // causality for the graph; the walk stops at the root).
-                let cause = self.flow(
+                let cause = rec.flow(
                     FlowKind::CommitStart,
                     "commit start",
                     Some(wtag),
@@ -914,8 +871,8 @@ impl CoreUnit {
             }
             // Conservative mode: invalidations held during the commit are
             // processed now.
-            self.process_held_invs();
-            self.resume_after_window_change(t);
+            self.process_held_invs(rec);
+            self.resume_after_window_change(t, rec);
         } else {
             self.outcome_failures += 1;
             let mut backoff = None;
@@ -934,7 +891,7 @@ impl CoreUnit {
                 }
             }
             if let Some(delay) = backoff {
-                let cause = self.flow(
+                let cause = rec.flow(
                     FlowKind::Backoff,
                     "retry backoff",
                     Some(tag),
@@ -954,12 +911,12 @@ impl CoreUnit {
                     .as_mut()
                     .expect("matched")
                     .retry_scheduled = true; // the squash below kills the retry
-                self.process_held_invs();
+                self.process_held_invs(rec);
             }
         }
     }
 
-    fn retry(&mut self, tag: ChunkTag) {
+    fn retry(&mut self, tag: ChunkTag, rec: &Recorder) {
         let Some(p) = self.ctx.pending_commit.as_mut() else {
             return; // squashed while the retry was pending
         };
@@ -969,14 +926,14 @@ impl CoreUnit {
         p.retry_scheduled = false;
         // Cheap: the request's signatures are shared handles.
         let req = p.req.clone();
-        let cause = self.cur_cause;
+        let cause = rec.cause;
         self.to_b
             .push((self.now, CoreToB::CommitStart { req, cause }));
     }
 
     /// If the core was blocked on a full window, credit the commit-stall
     /// time and resume execution.
-    fn resume_after_window_change(&mut self, t: Cycle) {
+    fn resume_after_window_change(&mut self, t: Cycle, rec: &mut Recorder) {
         let core = self.core;
         let c = &mut self.ctx;
         if c.phase == Phase::WaitCommitSlot {
@@ -985,7 +942,7 @@ impl CoreUnit {
             c.breakdown.commit += cycles;
             c.phase = Phase::Running;
             let epoch = c.epoch;
-            self.push_obs(t, ObsKind::CommitStall { core, cycles });
+            rec.obs(t, ObsKind::CommitStall { core, cycles });
             self.queue.push(t, AEv::Step { epoch });
         } else if c.phase == Phase::Finished || c.spec.is_some() {
             // Running or already done — nothing to do.
@@ -999,7 +956,13 @@ impl CoreUnit {
 
     // ----- bulk invalidation / squash -------------------------------------
 
-    fn bulk_inv_at_core(&mut self, from: DirId, tag: ChunkTag, wsig: SigHandle) {
+    fn bulk_inv_at_core(
+        &mut self,
+        from: DirId,
+        tag: ChunkTag,
+        wsig: SigHandle,
+        rec: &mut Recorder,
+    ) {
         let t = self.now;
         let core = self.core;
         self.ctx.hier.bulk_invalidate(&wsig);
@@ -1018,23 +981,29 @@ impl CoreUnit {
             if self.supports_held_invs {
                 self.ctx.held_invs.push((from, tag, wsig));
                 let depth = self.ctx.held_invs.len() as u32;
-                self.push_obs(t, ObsKind::HeldInvDepth { core, depth });
+                rec.obs(t, ObsKind::HeldInvDepth { core, depth });
                 return;
             }
         }
-        self.record_inv_processed(tag, from, &wsig);
+        self.record_inv_processed(tag, from, &wsig, rec);
         if let Some((vtag, is_pending)) = victim {
-            aborted = self.squash(vtag, is_pending, &wsig);
+            aborted = self.squash(vtag, is_pending, &wsig, rec);
         }
-        self.send_ack(from, tag, aborted, t);
+        self.send_ack(from, tag, aborted, t, rec);
     }
 
     /// Trace hook: a foreign W signature is being applied against this
     /// core's in-flight chunks right now; snapshot what they have accessed
     /// so far so the `sb-check` oracle can recompute the conflict decision
     /// independently of [`CoreUnit::find_victim`].
-    fn record_inv_processed(&mut self, committer: ChunkTag, from: DirId, wsig: &SigHandle) {
-        if !self.trace_on {
+    fn record_inv_processed(
+        &self,
+        committer: ChunkTag,
+        from: DirId,
+        wsig: &SigHandle,
+        rec: &mut Recorder,
+    ) {
+        if !rec.trace_on {
             return;
         }
         let at = self.now;
@@ -1056,7 +1025,7 @@ impl CoreUnit {
                 }
             }
         }
-        self.push_trace(TraceEvent::InvProcessed {
+        rec.trace(TraceEvent::InvProcessed {
             core,
             committer,
             from,
@@ -1114,7 +1083,14 @@ impl CoreUnit {
         None
     }
 
-    fn send_ack(&mut self, from: DirId, tag: ChunkTag, aborted: Option<AbortedCommit>, t: Cycle) {
+    fn send_ack(
+        &mut self,
+        from: DirId,
+        tag: ChunkTag,
+        aborted: Option<AbortedCommit>,
+        t: Cycle,
+        rec: &mut Recorder,
+    ) {
         let core = self.core;
         let (arrive, info) = self.net.send_info(
             t + self.cfg.ack_delay,
@@ -1126,7 +1102,7 @@ impl CoreUnit {
         // `sent_at` is `t` (before the core's ack-processing delay): the
         // decomposition then shows the delay as pre-send service, keeping
         // the flow's segments contiguous from cause to delivery.
-        let cause = self.flow(
+        let cause = rec.flow(
             FlowKind::BulkInvAck,
             "bulk inv ack",
             Some(tag),
@@ -1157,6 +1133,7 @@ impl CoreUnit {
         vtag: ChunkTag,
         was_pending: bool,
         wsig: &Signature,
+        rec: &mut Recorder,
     ) -> Option<AbortedCommit> {
         let t = self.now;
         let core = self.core;
@@ -1182,7 +1159,7 @@ impl CoreUnit {
             } else {
                 self.squash_alias += 1;
             }
-            self.push_trace(TraceEvent::Squashed {
+            rec.trace(TraceEvent::Squashed {
                 core,
                 tag: *tag,
                 at: t,
@@ -1220,7 +1197,7 @@ impl CoreUnit {
             c.breakdown.useful -= inv.useful;
             c.breakdown.cache_miss -= inv.cache;
             c.breakdown.squash += inv.useful + inv.cache;
-            self.push_obs(
+            rec.obs(
                 t,
                 ObsKind::ChunkDone {
                     core,
@@ -1243,7 +1220,7 @@ impl CoreUnit {
         };
         if let Some(cycles) = stall {
             self.ctx.breakdown.commit += cycles;
-            self.push_obs(t, ObsKind::CommitStall { core, cycles });
+            rec.obs(t, ObsKind::CommitStall { core, cycles });
         }
         self.ctx.phase = Phase::Running;
         self.ctx.pos = 0;
@@ -1252,33 +1229,33 @@ impl CoreUnit {
             // The squash killed an in-flight commit: its partially formed
             // group will be recalled (§3.4's lookout case).
             let atag = a.tag;
-            self.push_obs(t, ObsKind::CommitRecalled { tag: atag });
+            rec.obs(t, ObsKind::CommitRecalled { tag: atag });
         }
         aborted
     }
 
     /// Conservative-mode backlog: apply invalidations that were held while
     /// a commit was in flight.
-    fn process_held_invs(&mut self) {
+    fn process_held_invs(&mut self, rec: &mut Recorder) {
         let held = std::mem::take(&mut self.ctx.held_invs);
         let t = self.now;
         for (from, tag, wsig) in held {
             // Re-run the squash check now that the commit resolved.
             let victim = Self::find_victim(&self.ctx, tag, &wsig, self.cfg.inject_bug);
-            self.record_inv_processed(tag, from, &wsig);
+            self.record_inv_processed(tag, from, &wsig, rec);
             let aborted = match victim {
-                Some((vtag, is_pending)) => self.squash(vtag, is_pending, &wsig),
+                Some((vtag, is_pending)) => self.squash(vtag, is_pending, &wsig, rec),
                 None => None,
             };
-            self.send_ack(from, tag, aborted, t);
+            self.send_ack(from, tag, aborted, t, rec);
         }
     }
 }
 
-/// Plane B: the serial protocol/directory scheduler. Owns the commit
-/// protocol, the directory-side network ports, and the serialization
-/// gauges; mutates the directory modules (behind the machine's
-/// `RwLock`, write-locked only while no A phase runs).
+/// Plane B: the protocol/directory scheduler. Owns the commit protocol,
+/// the directory-side network ports, and the serialization gauges;
+/// mutates the directory modules, which the machine lends it for the B
+/// phase.
 struct Hub<P: CommitProtocol> {
     cfg: SimConfig,
     proto: P,
@@ -1296,20 +1273,13 @@ struct Hub<P: CommitProtocol> {
     read_nacks: u64,
     events: u64,
     /// Mail to the units, in generation order; distributed at the phase
-    /// edge (same order in inline and threaded modes).
+    /// edge.
     mail: Vec<(u16, Cycle, AEv)>,
     /// The B phase's dynamic horizon: clamped to every hub→core mail
     /// arrival so the hub never advances past a message a unit has not
     /// seen yet (a core can react to mail in the very cycle it arrives —
     /// e.g. seal and commit-start a next chunk).
     hb: Cycle,
-    obs_on: bool,
-    obs_buf: Vec<(u64, ObsEvent)>,
-    flow_buf: Vec<(u64, FlowEvent)>,
-    flow_fixups: Vec<(FlowId, Cycle)>,
-    flow_next: u64,
-    cur_cause: FlowId,
-    phase_tag: u64,
 }
 
 impl<P: CommitProtocol> Hub<P> {
@@ -1319,7 +1289,8 @@ impl<P: CommitProtocol> Hub<P> {
     fn b_phase(
         &mut self,
         horizon: Cycle,
-        dirs: &RwLock<Vec<DirectoryState>>,
+        dirs: &mut [DirectoryState],
+        rec: &mut Recorder,
         mut sched: Option<&mut dyn Scheduler>,
     ) {
         self.hb = horizon;
@@ -1341,7 +1312,7 @@ impl<P: CommitProtocol> Hub<P> {
                 _ => self.batch.pop_front(),
             };
             let Some((at, ev)) = next else { break };
-            self.dispatch(at, ev, dirs);
+            self.dispatch(at, ev, dirs, rec);
         }
     }
 
@@ -1410,16 +1381,21 @@ impl<P: CommitProtocol> Hub<P> {
         self.mail.push((core, at, ev));
     }
 
-    fn dispatch(&mut self, at: Cycle, ev: BEv<P::Msg>, dirs: &RwLock<Vec<DirectoryState>>) {
+    fn dispatch(
+        &mut self,
+        at: Cycle,
+        ev: BEv<P::Msg>,
+        dirs: &mut [DirectoryState],
+        rec: &mut Recorder,
+    ) {
         self.now = self.now.max_of(at);
         self.events += 1;
-        self.cur_cause = ev.cause();
-        self.note_delivery();
+        rec.dispatch(ev.cause(), self.now);
         if self.events.is_multiple_of(1024) {
             // Hub-local depth sample (the units' queues are small and
             // bounded; the hub queue is where protocol storms pile up).
             let depth = (self.bq.len() + self.batch.len()) as u64;
-            self.push_obs(self.now, ObsKind::QueueDepth { depth });
+            rec.obs(self.now, ObsKind::QueueDepth { depth });
         }
         match ev {
             BEv::FromCore(m) => match m {
@@ -1437,7 +1413,7 @@ impl<P: CommitProtocol> Hub<P> {
                         dirs,
                     };
                     self.proto.bulk_inv_acked(&view, &mut self.outbox, ack);
-                    self.flush_outbox(dirs);
+                    self.flush_outbox(dirs, rec);
                 }
                 CoreToB::CommitStart { req, cause: _ } => {
                     let view = BView {
@@ -1446,7 +1422,7 @@ impl<P: CommitProtocol> Hub<P> {
                         dirs,
                     };
                     self.proto.start_commit(&view, &mut self.outbox, req);
-                    self.flush_outbox(dirs);
+                    self.flush_outbox(dirs, rec);
                 }
             },
             BEv::ReadServe {
@@ -1489,7 +1465,7 @@ impl<P: CommitProtocol> Hub<P> {
                     dirs,
                 };
                 self.proto.deliver(&view, &mut self.outbox, dst, msg);
-                self.flush_outbox(dirs);
+                self.flush_outbox(dirs, rec);
             }
         }
     }
@@ -1502,7 +1478,7 @@ impl<P: CommitProtocol> Hub<P> {
         line: LineAddr,
         epoch: u64,
         stall_start: Cycle,
-        dirs: &RwLock<Vec<DirectoryState>>,
+        dirs: &mut [DirectoryState],
     ) {
         let t = self.now;
         let home = self.mapper.home_frozen(line);
@@ -1530,12 +1506,11 @@ impl<P: CommitProtocol> Hub<P> {
             return;
         }
         let (serve_from, serve_at, class) = {
-            let mut d = dirs.write().expect("dirs lock");
-            let class = read_class(&d, home, line);
+            let class = read_class(dirs, home, line);
             let res = match class {
                 TrafficClass::RemoteDirtyRd => {
                     // 3-hop: home forwards to the owner, which replies.
-                    let owner = d[home.idx()].owner_of(line).expect("dirty");
+                    let owner = dirs[home.idx()].owner_of(line).expect("dirty");
                     let fwd = self.net.send(
                         t,
                         sb_net::NodeId(home.0),
@@ -1548,7 +1523,7 @@ impl<P: CommitProtocol> Hub<P> {
                 TrafficClass::MemRd => (sb_net::NodeId(home.0), t + self.cfg.mem_latency, class),
                 _ => (sb_net::NodeId(home.0), t, class),
             };
-            d[home.idx()].record_read(line, CoreId(core));
+            dirs[home.idx()].record_read(line, CoreId(core));
             res
         };
         self.bq.push(
@@ -1566,20 +1541,16 @@ impl<P: CommitProtocol> Hub<P> {
 
     /// Home-side handling of a store fetch: register the sharer and serve
     /// the line (from memory after the memory latency, or cache-to-cache).
-    fn store_at_dir(&mut self, core: u16, line: LineAddr, dirs: &RwLock<Vec<DirectoryState>>) {
+    fn store_at_dir(&mut self, core: u16, line: LineAddr, dirs: &mut [DirectoryState]) {
         let t = self.now;
         let home = self.mapper.home_frozen(line);
-        let (class, from) = {
-            let mut d = dirs.write().expect("dirs lock");
-            let class = read_class(&d, home, line);
-            d[home.idx()].record_read(line, CoreId(core));
-            let from = match class {
-                TrafficClass::RemoteDirtyRd => {
-                    sb_net::NodeId(d[home.idx()].owner_of(line).map_or(home.0, |o| o.0))
-                }
-                _ => sb_net::NodeId(home.0),
-            };
-            (class, from)
+        let class = read_class(dirs, home, line);
+        dirs[home.idx()].record_read(line, CoreId(core));
+        let from = match class {
+            TrafficClass::RemoteDirtyRd => {
+                sb_net::NodeId(dirs[home.idx()].owner_of(line).map_or(home.0, |o| o.0))
+            }
+            _ => sb_net::NodeId(home.0),
         };
         let extra = if class == TrafficClass::MemRd {
             self.cfg.mem_latency
@@ -1601,18 +1572,23 @@ impl<P: CommitProtocol> Hub<P> {
     /// the scratch buffer, and executes the commands. Both allocations
     /// are reused for the lifetime of the run — the steady-state event
     /// loop does not allocate per protocol step.
-    fn flush_outbox(&mut self, dirs: &RwLock<Vec<DirectoryState>>) {
+    fn flush_outbox(&mut self, dirs: &mut [DirectoryState], rec: &mut Recorder) {
         self.protocol_steps += 1;
         // Temporarily move the scratch out of `self` so `execute` can
         // borrow the rest of the hub mutably; the (possibly grown)
         // buffer is put back afterwards.
         let mut cmds = std::mem::take(&mut self.cmd_scratch);
         self.outbox.drain_into(&mut cmds);
-        self.execute(&mut cmds, dirs);
+        self.execute(&mut cmds, dirs, rec);
         self.cmd_scratch = cmds;
     }
 
-    fn execute(&mut self, cmds: &mut Vec<Command<P::Msg>>, dirs: &RwLock<Vec<DirectoryState>>) {
+    fn execute(
+        &mut self,
+        cmds: &mut Vec<Command<P::Msg>>,
+        dirs: &mut [DirectoryState],
+        rec: &mut Recorder,
+    ) {
         let now = self.now;
         for cmd in cmds.drain(..) {
             match cmd {
@@ -1630,7 +1606,7 @@ impl<P: CommitProtocol> Hub<P> {
                         size,
                         class,
                     );
-                    let cause = self.flow(
+                    let cause = rec.flow(
                         FlowKind::Proto,
                         P::msg_label(&msg),
                         P::msg_tag(&msg),
@@ -1643,7 +1619,7 @@ impl<P: CommitProtocol> Hub<P> {
                     self.bq.push(arrive, BEv::Proto { dst, msg, cause });
                 }
                 Command::After { delay, dst, msg } => {
-                    let cause = self.flow(
+                    let cause = rec.flow(
                         FlowKind::Timer,
                         P::msg_label(&msg),
                         P::msg_tag(&msg),
@@ -1663,7 +1639,7 @@ impl<P: CommitProtocol> Hub<P> {
                         MsgSize::Small,
                         TrafficClass::SmallCMessage,
                     );
-                    let cause = self.flow(
+                    let cause = rec.flow(
                         FlowKind::CommitSuccess,
                         "commit success",
                         Some(tag),
@@ -1691,7 +1667,7 @@ impl<P: CommitProtocol> Hub<P> {
                         MsgSize::Small,
                         TrafficClass::SmallCMessage,
                     );
-                    let cause = self.flow(
+                    let cause = rec.flow(
                         FlowKind::CommitFailure,
                         "commit failure",
                         Some(tag),
@@ -1730,7 +1706,7 @@ impl<P: CommitProtocol> Hub<P> {
                         size,
                         class,
                     );
-                    let cause = self.flow(
+                    let cause = rec.flow(
                         FlowKind::BulkInv,
                         "bulk inv",
                         Some(tag),
@@ -1756,18 +1732,18 @@ impl<P: CommitProtocol> Hub<P> {
                     wsig,
                     committer,
                 } => {
-                    dirs.write().expect("dirs lock")[dir.idx()].apply_commit(&wsig, committer);
+                    dirs[dir.idx()].apply_commit(&wsig, committer);
                 }
                 Command::Event(ev) => {
-                    if self.obs_on {
+                    if rec.obs_on {
                         match &ev {
                             ProtoEvent::DirGrabbed { dir, tag } => {
                                 let (dir, tag) = (*dir, *tag);
-                                self.push_obs(now, ObsKind::DirGrabbed { dir, tag });
+                                rec.obs(now, ObsKind::DirGrabbed { dir, tag });
                             }
                             ProtoEvent::DirReleased { dir, tag } => {
                                 let (dir, tag) = (*dir, *tag);
-                                self.push_obs(now, ObsKind::DirReleased { dir, tag });
+                                rec.obs(now, ObsKind::DirReleased { dir, tag });
                             }
                             _ => {}
                         }
@@ -1777,70 +1753,8 @@ impl<P: CommitProtocol> Hub<P> {
             }
         }
     }
-
-    /// Mirror of [`CoreUnit::note_delivery`] for the hub's namespace.
-    fn note_delivery(&mut self) {
-        let cause = self.cur_cause;
-        if !self.obs_on || cause.is_none() {
-            return;
-        }
-        let t = self.now;
-        if cause.0 >> FLOW_UNIT_SHIFT == 0 {
-            let f = &mut self.flow_buf[(cause.0 - 1) as usize].1;
-            if f.delivered_at < t {
-                f.delivered_at = t;
-            }
-        } else {
-            self.flow_fixups.push((cause, t));
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn flow(
-        &mut self,
-        kind: FlowKind,
-        label: &'static str,
-        tag: Option<ChunkTag>,
-        src: Endpoint,
-        dst: Endpoint,
-        sent_at: Cycle,
-        delivered_at: Cycle,
-        net: Option<sb_net::SendInfo>,
-    ) -> FlowId {
-        if !self.obs_on {
-            return FlowId::NONE;
-        }
-        self.flow_next += 1;
-        let id = FlowId(self.flow_next);
-        self.flow_buf.push((
-            self.phase_tag,
-            FlowEvent {
-                id,
-                parent: self.cur_cause,
-                kind,
-                label,
-                tag,
-                src,
-                dst,
-                sent_at,
-                delivered_at,
-                net,
-            },
-        ));
-        id
-    }
-
-    fn push_obs(&mut self, at: Cycle, kind: ObsKind) {
-        if self.obs_on {
-            self.obs_buf.push((self.phase_tag, ObsEvent { at, kind }));
-        }
-    }
 }
 
-/// Coordination state for one threaded run: generation-counted phase
-/// barriers plus per-unit mailboxes and outboxes. All mail still flows
-/// through the same index-ordered merge as the inline path, so thread
-/// scheduling never reaches simulated state.
 /// Host-side self-profiling accumulators for the two-plane executor.
 /// Only populated when [`ObsConfig::profile`](crate::ObsConfig) is on;
 /// otherwise the run loops pay at most one branch per superphase.
@@ -1852,9 +1766,8 @@ struct Prof {
     superphases: u64,
     /// Superphases executed in the post-run observability drain.
     drain_superphases: u64,
-    /// Busy wall-nanoseconds per executor domain (A-phase work; domain 0
-    /// is the main thread).
-    a_busy_ns: Vec<u64>,
+    /// Plane-A (core unit) busy wall-nanoseconds.
+    a_busy_ns: u64,
     /// Hub B-phase busy wall-nanoseconds.
     b_busy_ns: u64,
     /// B phases that dispatched at least one hub event (the hub-horizon
@@ -1863,9 +1776,6 @@ struct Prof {
     b_busy_phases: u64,
     /// Total B phases.
     b_phases: u64,
-    /// Main-thread wall-nanoseconds spent spinning on the A-phase
-    /// barrier waiting for worker domains.
-    barrier_ns: u64,
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -1881,148 +1791,14 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-struct PhaseShared {
-    /// Per-domain A-phase busy nanoseconds (index 0 = main thread).
-    /// Workers accumulate locally and publish once at stop; only read
-    /// after the thread scope ends. Empty when profiling is off.
-    a_ns: Vec<AtomicU64>,
-    /// Whether workers should time their A phases.
-    profile: bool,
-    /// Phase generation; workers spin until it advances.
-    gen: AtomicU64,
-    /// The published A-phase horizon for the current generation.
-    horizon: AtomicU64,
-    /// The published superphase tag (for observation buffers).
-    phase_idx: AtomicU64,
-    stop: AtomicBool,
-    /// Worker chunks finished with the current generation.
-    done: AtomicUsize,
-    /// Units that reached `Phase::Finished` (monotone).
-    finished: AtomicUsize,
-    /// Each unit's next pending event time after its last A phase
-    /// (`u64::MAX` = empty queue).
-    n_next: Vec<AtomicU64>,
-    /// Hub→unit mail, delivered at the start of the unit's next A phase.
-    mailboxes: Vec<Mutex<Vec<(Cycle, AEv)>>>,
-    /// Unit→hub mail, gathered by the main thread in unit-index order.
-    outboxes: Vec<Mutex<Vec<(Cycle, CoreToB)>>>,
-}
-
-impl PhaseShared {
-    fn new(n: usize, domains: usize, profile: bool) -> Self {
-        PhaseShared {
-            a_ns: (0..if profile { domains } else { 0 })
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            profile,
-            gen: AtomicU64::new(0),
-            horizon: AtomicU64::new(0),
-            phase_idx: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            done: AtomicUsize::new(0),
-            finished: AtomicUsize::new(0),
-            n_next: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            outboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-}
-
-/// Runs one A phase over a contiguous chunk of units (`offset` = index
-/// of the first). Identical for the main thread and workers: deliver
-/// pending mail in order, drain to the horizon, publish the next event
-/// time, and swap the unit's outgoing mail into its outbox slot.
-fn run_chunk(
-    units: &mut [CoreUnit],
-    offset: usize,
-    shared: &PhaseShared,
-    dirs: &RwLock<Vec<DirectoryState>>,
-    horizon: Cycle,
-    pt: u64,
-) {
-    for (k, u) in units.iter_mut().enumerate() {
-        let i = offset + k;
-        u.phase_tag = pt;
-        {
-            let mut mb = shared.mailboxes[i].lock().expect("mailbox");
-            for (at, ev) in mb.drain(..) {
-                u.queue.push(at, ev);
-            }
-        }
-        u.run_phase(horizon, dirs, None);
-        shared.n_next[i].store(
-            u.queue.peek_time().map_or(u64::MAX, Cycle::as_u64),
-            Ordering::SeqCst,
-        );
-        {
-            let mut ob = shared.outboxes[i].lock().expect("outbox");
-            debug_assert!(ob.is_empty());
-            std::mem::swap(&mut *ob, &mut u.to_b);
-        }
-        if u.ctx.phase == Phase::Finished && !u.finish_reported {
-            u.finish_reported = true;
-            shared.finished.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Worker thread body: spin for the next phase generation, run the
-/// chunk, report done. Spinning (with periodic yields) beats parking
-/// here — phases are microseconds long and the fleet is capped at the
-/// host's available parallelism.
-fn worker_loop(
-    units: &mut [CoreUnit],
-    offset: usize,
-    dom: usize,
-    shared: &PhaseShared,
-    dirs: &RwLock<Vec<DirectoryState>>,
-) {
-    let mut seen = 0u64;
-    let mut busy_ns = 0u64;
-    loop {
-        let mut spins = 0u32;
-        loop {
-            let g = shared.gen.load(Ordering::SeqCst);
-            if g != seen {
-                seen = g;
-                break;
-            }
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            if shared.profile {
-                shared.a_ns[dom].store(busy_ns, Ordering::SeqCst);
-            }
-            return;
-        }
-        let horizon = Cycle(shared.horizon.load(Ordering::SeqCst));
-        let pt = shared.phase_idx.load(Ordering::SeqCst);
-        if shared.profile {
-            let t = std::time::Instant::now();
-            run_chunk(units, offset, shared, dirs, horizon, pt);
-            busy_ns += t.elapsed().as_nanos() as u64;
-        } else {
-            run_chunk(units, offset, shared, dirs, horizon, pt);
-        }
-        shared.done.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 /// The simulated machine: per-core plane-A units, the shared directory
-/// modules, and the plane-B hub.
+/// modules, the plane-B hub, and the observation recorder.
 pub struct Machine<P: CommitProtocol> {
     cfg: SimConfig,
     units: Vec<CoreUnit>,
-    dirs: RwLock<Vec<DirectoryState>>,
+    dirs: Vec<DirectoryState>,
     hub: Hub<P>,
-    /// Superphase counter; continues across the measured run and the
-    /// observability drain so phase tags stay globally ordered.
-    phase_ctr: u64,
+    rec: Recorder,
     setup_wall: std::time::Duration,
     /// Host self-profiling accumulators (empty unless `cfg.obs.profile`).
     prof: Prof,
@@ -2078,7 +1854,7 @@ impl<P: CommitProtocol> Machine<P> {
         // can ever access, attributed to the core that runs the thread —
         // exactly the home runtime first-touch would have assigned, but
         // assigned up front so the measured run only ever *reads* the
-        // mapper (shared immutably across domains). `max(1)`: the
+        // mapper (shared immutably by every unit). `max(1)`: the
         // generator clamps its private-index modulus the same way, so a
         // zero-sized region still accesses its base line.
         for t in 0..cfg.threads {
@@ -2168,13 +1944,6 @@ impl<P: CommitProtocol> Machine<P> {
             events: 0,
             mail: Vec::new(),
             hb: Cycle::MAX,
-            obs_on: cfg.obs.enabled,
-            obs_buf: Vec::new(),
-            flow_buf: Vec::new(),
-            flow_fixups: Vec::new(),
-            flow_next: 0,
-            cur_cause: FlowId::NONE,
-            phase_tag: 0,
         };
         let units: Vec<CoreUnit> = ctxs
             .into_iter()
@@ -2192,8 +1961,7 @@ impl<P: CommitProtocol> Machine<P> {
                     net: match cfg.perturb {
                         None => Network::new(cfg.net),
                         // Re-seed per unit (SplitMix-spread) so every
-                        // unit draws an independent jitter stream no
-                        // matter how units land on threads.
+                        // unit draws an independent jitter stream.
                         Some(p) => Network::with_perturbation(
                             cfg.net,
                             PerturbationConfig {
@@ -2214,26 +1982,25 @@ impl<P: CommitProtocol> Machine<P> {
                     outcome_failures: 0,
                     latency: LatencyDist::new(),
                     dirs_stat: DirsPerCommit::new(),
-                    trace_on: cfg.trace,
-                    obs_on: cfg.obs.enabled,
-                    trace_buf: Vec::new(),
-                    obs_buf: Vec::new(),
-                    flow_buf: Vec::new(),
-                    flow_fixups: Vec::new(),
-                    flow_next: 0,
-                    cur_cause: FlowId::NONE,
-                    phase_tag: 0,
                     supports_held_invs: held_ok,
                     finish_reported: false,
                 }
             })
             .collect();
+        let rec = Recorder {
+            trace_on: cfg.trace,
+            obs_on: cfg.obs.enabled,
+            trace: Vec::new(),
+            obs: Vec::new(),
+            flows: Vec::new(),
+            cause: FlowId::NONE,
+        };
         Machine {
             cfg,
             units,
-            dirs: RwLock::new(dirs),
+            dirs,
             hub,
-            phase_ctr: 0,
+            rec,
             setup_wall: setup_start.elapsed(),
             prof: Prof::default(),
         }
@@ -2250,10 +2017,7 @@ impl<P: CommitProtocol> Machine<P> {
     }
 
     /// Like [`Machine::run`], with a pluggable same-cycle dispatch order
-    /// (see [`Scheduler`]). `None` is byte-identical to [`Machine::run`];
-    /// `Some` forces the inline superphase loop regardless of the
-    /// configured domain count (the explorer needs one deterministic
-    /// consultation order, and its configs are tiny anyway).
+    /// (see [`Scheduler`]). `None` is byte-identical to [`Machine::run`].
     ///
     /// # Panics
     ///
@@ -2267,16 +2031,7 @@ impl<P: CommitProtocol> Machine<P> {
             self.hub.bq.reserve(expected - self.hub.bq.len());
         }
         let wall_start = std::time::Instant::now();
-        let domains = effective_domains(self.cfg.domains, self.cfg.cores as usize);
-        if self.cfg.obs.profile {
-            self.prof.a_busy_ns.resize(domains.max(1), 0);
-        }
-        let deadlocked = if sched.is_some() || domains <= 1 || self.units.len() <= 1 {
-            self.run_superphases(false, resched(&mut sched))
-        } else {
-            self.run_threaded(domains)
-        };
-        if deadlocked {
+        if self.run_superphases(false, resched(&mut sched)) {
             self.panic_deadlock();
         }
         let run_wall = wall_start.elapsed();
@@ -2294,22 +2049,25 @@ impl<P: CommitProtocol> Machine<P> {
             let late_deadlock = self.run_superphases(true, resched(&mut sched));
             debug_assert!(!late_deadlock);
             if self.cfg.trace {
-                let mut trace = self.merged_trace();
+                let mut trace = RunTrace::new();
+                trace.events = std::mem::take(&mut self.rec.trace);
                 trace.final_in_flight = self.hub.proto.in_flight();
                 result.trace = Some(trace);
             }
         }
         let drain_wall = drain_start.elapsed();
         if self.cfg.obs.enabled {
-            result.obs = Some(self.merged_obs());
+            let mut obs = ObsLog::new();
+            obs.events = std::mem::take(&mut self.rec.obs);
+            obs.flows = std::mem::take(&mut self.rec.flows);
+            result.obs = Some(obs);
         }
         result.metrics = self.build_registry(&result, run_wall, drain_wall);
         result
     }
 
-    /// The inline superphase loop: same schedule as the threaded path,
-    /// no threads, no atomics. Used for `domains <= 1` and for the
-    /// post-run observability drain (`drain = true`, which ignores the
+    /// The superphase loop, for the measured run and for the post-run
+    /// observability drain (`drain = true`, which ignores the
     /// all-finished break and stops at global quiescence instead).
     /// Returns `true` on deadlock.
     fn run_superphases(&mut self, drain: bool, mut sched: Option<&mut dyn Scheduler>) -> bool {
@@ -2337,12 +2095,9 @@ impl<P: CommitProtocol> Machine<P> {
                 return !drain && finished < total;
             }
             let ha = g + margin;
-            let pt = self.phase_ctr;
             let t_a = profile.then(std::time::Instant::now);
-            for i in 0..total {
-                let u = &mut self.units[i];
-                u.phase_tag = pt;
-                u.run_phase(ha, &self.dirs, resched(&mut sched));
+            for u in self.units.iter_mut() {
+                u.run_phase(ha, &self.dirs, &mut self.rec, resched(&mut sched));
                 for (at, m) in u.to_b.drain(..) {
                     self.hub.bq.push(at, BEv::FromCore(m));
                 }
@@ -2352,14 +2107,13 @@ impl<P: CommitProtocol> Machine<P> {
                 }
             }
             if let Some(t) = t_a {
-                self.prof.a_busy_ns[0] += t.elapsed().as_nanos() as u64;
+                self.prof.a_busy_ns += t.elapsed().as_nanos() as u64;
                 if drain {
                     self.prof.drain_superphases += 1;
                 } else {
                     self.prof.superphases += 1;
                 }
             }
-            self.phase_ctr = pt + 1;
             if !drain && finished == total {
                 break;
             }
@@ -2371,25 +2125,23 @@ impl<P: CommitProtocol> Machine<P> {
                     }
                 }
             }
-            self.hub.phase_tag = self.phase_ctr;
             if profile {
                 let ev0 = self.hub.events;
                 let t = std::time::Instant::now();
-                self.hub.b_phase(hb0, &self.dirs, resched(&mut sched));
+                self.hub
+                    .b_phase(hb0, &mut self.dirs, &mut self.rec, resched(&mut sched));
                 self.prof.b_busy_ns += t.elapsed().as_nanos() as u64;
                 self.prof.b_phases += 1;
                 if self.hub.events > ev0 {
                     self.prof.b_busy_phases += 1;
                 }
             } else {
-                self.hub.b_phase(hb0, &self.dirs, resched(&mut sched));
+                self.hub
+                    .b_phase(hb0, &mut self.dirs, &mut self.rec, resched(&mut sched));
             }
-            let mut mail = std::mem::take(&mut self.hub.mail);
-            for (core, at, ev) in mail.drain(..) {
+            for (core, at, ev) in self.hub.mail.drain(..) {
                 self.units[core as usize].queue.push(at, ev);
             }
-            self.hub.mail = mail;
-            self.phase_ctr += 1;
             if progress {
                 let ev: u64 = self.units.iter().map(|u| u.events).sum::<u64>() + self.hub.events;
                 if ev >= next_report {
@@ -2409,151 +2161,6 @@ impl<P: CommitProtocol> Machine<P> {
             }
         }
         false
-    }
-
-    /// The threaded superphase loop: identical schedule to
-    /// [`Machine::run_superphases`], with the A phases distributed over
-    /// `domains` OS threads (this thread runs chunk 0 itself and spawns
-    /// `domains - 1` workers). Returns `true` on deadlock.
-    fn run_threaded(&mut self, domains: usize) -> bool {
-        let n = self.units.len();
-        let margin = self.cfg.net.fixed_overhead.max(1);
-        let profile = self.cfg.obs.profile;
-        let chunk = n.div_ceil(domains);
-        let shared = PhaseShared::new(n, domains, profile);
-        for (i, u) in self.units.iter().enumerate() {
-            shared.n_next[i].store(
-                u.queue.peek_time().map_or(u64::MAX, Cycle::as_u64),
-                Ordering::SeqCst,
-            );
-            if u.finish_reported {
-                shared.finished.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        // Earliest undelivered mail per unit; `MAX` when its mailbox is
-        // empty. Main-thread-local: refilled on each distribution, read
-        // when computing the next G (the mailboxes drain during the A
-        // phase *after* that read).
-        let mut mail_min = vec![Cycle::MAX; n];
-        let mut deadlocked = false;
-        let dirs = &self.dirs;
-        let hub = &mut self.hub;
-        let phase_ctr = &mut self.phase_ctr;
-        let prof = &mut self.prof;
-        let mut finished = shared.finished.load(Ordering::SeqCst);
-        std::thread::scope(|s| {
-            let mut chunks = self.units.chunks_mut(chunk);
-            let main_chunk = chunks.next().expect("at least one unit");
-            let mut offset = main_chunk.len();
-            let mut workers = 0usize;
-            for ch in chunks {
-                let off = offset;
-                offset += ch.len();
-                let sh = &shared;
-                let dom = workers + 1;
-                s.spawn(move || worker_loop(ch, off, dom, sh, dirs));
-                workers += 1;
-            }
-            loop {
-                if finished == n {
-                    break;
-                }
-                let mut g = hub.bq.peek_time().unwrap_or(Cycle::MAX);
-                for (i, a) in shared.n_next.iter().enumerate() {
-                    let t = Cycle(a.load(Ordering::SeqCst));
-                    if t < g {
-                        g = t;
-                    }
-                    if mail_min[i] < g {
-                        g = mail_min[i];
-                    }
-                }
-                if g == Cycle::MAX {
-                    deadlocked = finished < n;
-                    break;
-                }
-                let ha = g + margin;
-                let pt = *phase_ctr;
-                shared.horizon.store(ha.as_u64(), Ordering::SeqCst);
-                shared.phase_idx.store(pt, Ordering::SeqCst);
-                shared.done.store(0, Ordering::SeqCst);
-                shared.gen.fetch_add(1, Ordering::SeqCst);
-                let t_a = profile.then(std::time::Instant::now);
-                run_chunk(main_chunk, 0, &shared, dirs, ha, pt);
-                let t_barrier = t_a.map(|t| {
-                    prof.a_busy_ns[0] += t.elapsed().as_nanos() as u64;
-                    prof.superphases += 1;
-                    std::time::Instant::now()
-                });
-                let mut spins = 0u32;
-                while shared.done.load(Ordering::SeqCst) < workers {
-                    spins = spins.wrapping_add(1);
-                    if spins.is_multiple_of(64) {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-                if let Some(t) = t_barrier {
-                    prof.barrier_ns += t.elapsed().as_nanos() as u64;
-                }
-                // Gather unit→hub mail in unit-index order — the exact
-                // order the inline loop pushes it, so hub event sequence
-                // numbers are identical.
-                for ob in shared.outboxes.iter() {
-                    let mut ob = ob.lock().expect("outbox");
-                    for (at, m) in ob.drain(..) {
-                        hub.bq.push(at, BEv::FromCore(m));
-                    }
-                }
-                finished = shared.finished.load(Ordering::SeqCst);
-                *phase_ctr = pt + 1;
-                if finished == n {
-                    break;
-                }
-                let mut hb0 = Cycle::MAX;
-                for a in shared.n_next.iter() {
-                    let t = Cycle(a.load(Ordering::SeqCst));
-                    if t < hb0 {
-                        hb0 = t;
-                    }
-                }
-                hub.phase_tag = *phase_ctr;
-                if profile {
-                    let ev0 = hub.events;
-                    let t = std::time::Instant::now();
-                    hub.b_phase(hb0, dirs, None);
-                    prof.b_busy_ns += t.elapsed().as_nanos() as u64;
-                    prof.b_phases += 1;
-                    if hub.events > ev0 {
-                        prof.b_busy_phases += 1;
-                    }
-                } else {
-                    hub.b_phase(hb0, dirs, None);
-                }
-                for m in mail_min.iter_mut() {
-                    *m = Cycle::MAX;
-                }
-                for (core, at, ev) in hub.mail.drain(..) {
-                    let i = core as usize;
-                    if at < mail_min[i] {
-                        mail_min[i] = at;
-                    }
-                    shared.mailboxes[i].lock().expect("mailbox").push((at, ev));
-                }
-                *phase_ctr += 1;
-            }
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.gen.fetch_add(1, Ordering::SeqCst);
-        });
-        // Workers have joined (the scope guarantees it): fold their
-        // published busy times into the per-domain accumulators.
-        if profile {
-            for (d, a) in shared.a_ns.iter().enumerate().skip(1) {
-                self.prof.a_busy_ns[d] += a.load(Ordering::SeqCst);
-            }
-        }
-        deadlocked
     }
 
     fn panic_deadlock(&self) -> ! {
@@ -2627,74 +2234,6 @@ impl<P: CommitProtocol> Machine<P> {
             trace: None,
             obs: None,
         }
-    }
-
-    /// Merges the per-unit trace buffers into one stream, ordered by
-    /// superphase then unit index — a fixed order at any domain count.
-    fn merged_trace(&mut self) -> RunTrace {
-        let total: usize = self.units.iter().map(|u| u.trace_buf.len()).sum();
-        let mut tagged: Vec<(u64, TraceEvent)> = Vec::with_capacity(total);
-        for u in &mut self.units {
-            tagged.append(&mut u.trace_buf);
-        }
-        tagged.sort_by_key(|e| e.0); // stable: same-phase order is unit-concat order
-        let mut trace = RunTrace::new();
-        trace.events = tagged.into_iter().map(|(_, e)| e).collect();
-        trace
-    }
-
-    /// Merges the per-plane observation buffers: events sort by phase
-    /// tag (stable), flows additionally get dense 1-based ids in merged
-    /// order — a parent is always recorded in an earlier phase or
-    /// earlier in the same source buffer, so remapping in order always
-    /// finds it — and cross-plane `delivered_at` fixups apply last.
-    fn merged_obs(&mut self) -> ObsLog {
-        let n_events: usize =
-            self.units.iter().map(|u| u.obs_buf.len()).sum::<usize>() + self.hub.obs_buf.len();
-        let mut events: Vec<(u64, ObsEvent)> = Vec::with_capacity(n_events);
-        for u in &mut self.units {
-            events.append(&mut u.obs_buf);
-        }
-        events.append(&mut self.hub.obs_buf);
-        events.sort_by_key(|e| e.0);
-        let n_flows: usize =
-            self.units.iter().map(|u| u.flow_buf.len()).sum::<usize>() + self.hub.flow_buf.len();
-        let mut tagged: Vec<(u64, FlowEvent)> = Vec::with_capacity(n_flows);
-        for u in &mut self.units {
-            tagged.append(&mut u.flow_buf);
-        }
-        tagged.append(&mut self.hub.flow_buf);
-        tagged.sort_by_key(|e| e.0);
-        let mut dense: FxHashMap<u64, u64> = FxHashMap::default();
-        let mut flows: Vec<FlowEvent> = Vec::with_capacity(tagged.len());
-        for (_, mut f) in tagged {
-            let id = flows.len() as u64 + 1;
-            dense.insert(f.id.0, id);
-            f.id = FlowId(id);
-            if !f.parent.is_none() {
-                f.parent = FlowId(
-                    *dense
-                        .get(&f.parent.0)
-                        .expect("flow parents precede children in merged order"),
-                );
-            }
-            flows.push(f);
-        }
-        let mut fixups: Vec<(FlowId, Cycle)> = Vec::new();
-        for u in &mut self.units {
-            fixups.append(&mut u.flow_fixups);
-        }
-        fixups.append(&mut self.hub.flow_fixups);
-        for (raw, t) in fixups {
-            let idx = dense[&raw.0] as usize - 1;
-            if flows[idx].delivered_at < t {
-                flows[idx].delivered_at = t;
-            }
-        }
-        let mut obs = ObsLog::new();
-        obs.events = events.into_iter().map(|(_, e)| e).collect();
-        obs.flows = flows;
-        obs
     }
 
     /// Builds the end-of-run metrics registry from the frozen result
@@ -2840,11 +2379,8 @@ impl<P: CommitProtocol> Machine<P> {
                 },
             );
             reg.set_gauge("prof.hub_busy_secs", p.b_busy_ns as f64 * 1e-9);
-            reg.set_gauge("prof.barrier_stall_secs", p.barrier_ns as f64 * 1e-9);
-            reg.set_gauge("prof.domains", p.a_busy_ns.len().max(1) as f64);
-            for (d, ns) in p.a_busy_ns.iter().enumerate() {
-                reg.set_gauge(&format!("prof.domain_busy_secs.d{d}"), *ns as f64 * 1e-9);
-            }
+            // Plane-A busy time; the `.d0` name is what consumers read.
+            reg.set_gauge("prof.domain_busy_secs.d0", p.a_busy_ns as f64 * 1e-9);
             let mut tiers = self.hub.bq.tier_stats();
             for u in &self.units {
                 tiers.merge(&u.queue.tier_stats());

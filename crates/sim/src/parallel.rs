@@ -39,14 +39,6 @@ pub fn effective_jobs(jobs: usize) -> usize {
     }
 }
 
-/// Resolves a `--domains` setting for one simulated machine of `cores`
-/// tiles: [`AUTO_JOBS`] (`auto`) and oversized values are capped at the
-/// host's available parallelism, and no run can use more domains than it
-/// has cores. Always at least 1.
-pub fn effective_domains(domains: usize, cores: usize) -> usize {
-    effective_jobs(domains).min(cores.max(1))
-}
-
 /// Applies `f` to every item and returns the outputs **in input order**,
 /// using up to `jobs` worker threads ([`AUTO_JOBS`] = all hardware
 /// threads; the count is further capped at the item count).
@@ -117,13 +109,6 @@ pub fn parse_jobs(v: &str) -> Option<usize> {
     v.parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
-/// Parses a `--domains` command-line value: a positive integer, or
-/// `auto` for [`AUTO_JOBS`] (resolved per machine by
-/// [`effective_domains`]).
-pub fn parse_domains(v: &str) -> Option<usize> {
-    parse_jobs(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,9 +150,6 @@ mod tests {
         assert_eq!(parse_jobs("0"), None);
         assert_eq!(parse_jobs("-3"), None);
         assert_eq!(parse_jobs("fast"), None);
-        assert_eq!(parse_domains("auto"), Some(AUTO_JOBS));
-        assert_eq!(parse_domains("4"), Some(4));
-        assert_eq!(parse_domains("0"), None);
     }
 
     #[test]
@@ -180,20 +162,6 @@ mod tests {
         assert_eq!(effective_jobs(usize::MAX), avail);
         assert_eq!(effective_jobs(avail + 7), avail);
         assert!(effective_jobs(2) <= avail.max(2));
-    }
-
-    #[test]
-    fn effective_domains_caps_at_host_and_machine() {
-        let avail = available_jobs();
-        // Never more domains than host threads...
-        assert_eq!(effective_domains(AUTO_JOBS, 64), avail.min(64));
-        assert_eq!(effective_domains(usize::MAX, 64), avail.min(64));
-        // ...never more domains than simulated cores...
-        assert_eq!(effective_domains(usize::MAX, 1), 1);
-        assert_eq!(effective_domains(2, 1), 1);
-        // ...and always at least one.
-        assert_eq!(effective_domains(1, 0), 1);
-        assert_eq!(effective_domains(1, 64), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub fn run_simulation(cfg: &SimConfig) -> RunResult {
 /// Like [`run_simulation`], dispatching same-cycle event batches through
 /// `sched` (see [`Scheduler`](crate::sched::Scheduler)). Used by the
 /// `sb-check` bounded-interleaving explorer to enumerate and replay
-/// schedules; always runs the inline (domains = 1) superphase loop.
+/// schedules.
 pub fn run_simulation_scheduled(cfg: &SimConfig, sched: &mut dyn Scheduler) -> RunResult {
     run_simulation_with(cfg, Some(sched))
 }

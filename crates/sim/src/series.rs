@@ -3,8 +3,8 @@
 //!
 //! The series is *derived*, not recorded: [`time_series_from_obs`] is a
 //! pure post-run fold over the merged [`ObsLog`], so it can never
-//! perturb simulated results and is byte-identical at any `--domains` or
-//! `--jobs` count (the log itself already is). Counts land in the window
+//! perturb simulated results and is byte-identical at any `--jobs`
+//! count (the log itself already is). Counts land in the window
 //! of their event cycle; durations (directory hold time, inject wait,
 //! commit stalls) are split *exactly* across the windows they overlap,
 //! so the sum of any track over all windows equals the corresponding

@@ -60,20 +60,54 @@ fn perfetto_export_matches_golden_snapshot() {
     assert!(violations.is_empty(), "{violations:#?}");
 }
 
+/// Seed of the network-timing adversary for the perturbed golden row.
+const ADVERSARY: u64 = 0x7e17_a11d;
+
+/// Observed 16-core FFT runs (4k insns/thread, seed `0xfeed`, trace and
+/// obs on) under all five protocols, plus ScalableBulk under the timing
+/// adversary. Columns: protocol, perturbation seed (0 = none), commits,
+/// wall cycles, `RunTrace::fingerprint`, Perfetto document fingerprint.
+#[rustfmt::skip]
+const GOLDEN_PROTOCOLS: [(ProtocolKind, u64, u64, u64, u64, u64); 6] = [
+    (ProtocolKind::ScalableBulk, 0, 56, 9964, 0xb7ffbbca7db3b7d4, 0x8b3dca93bb224595),
+    (ProtocolKind::Tcc, 0, 56, 10225, 0xbcd471d2a49c3978, 0x760c34ac128e19d0),
+    (ProtocolKind::Seq, 0, 56, 10004, 0x7a93f514942129be, 0x96d91d9762b6b38e),
+    (ProtocolKind::SeqTs, 0, 56, 9967, 0x4cc2be5eb57958f9, 0xae85931e61b75e2e),
+    (ProtocolKind::BulkSc, 0, 56, 9945, 0xe1d4f8702a839e3d, 0x329b7719afd3df55),
+    (ProtocolKind::ScalableBulk, ADVERSARY, 56, 13517, 0x2b2b8204ecf97d86, 0x4debe9fb5ebf1f56),
+];
+
 #[test]
-fn export_is_byte_identical_at_any_domain_count() {
-    // The golden fingerprint above pins the single-threaded export; the
-    // domain-partitioned executor must reproduce those exact bytes — the
-    // merged trace/obs/flow streams are re-sequenced into the serial
-    // emission order, so even span ordering and flow ids cannot drift.
-    let reference = perfetto_trace(&run_simulation(&observed_cfg())).to_string();
-    for domains in [2usize, 4, 8] {
-        let mut cfg = observed_cfg();
-        cfg.domains = domains;
-        let got = perfetto_trace(&run_simulation(&cfg)).to_string();
+fn every_protocol_matches_its_golden_row() {
+    let print = std::env::var_os("SB_GOLDEN_PRINT").is_some();
+    for (proto, perturb_seed, commits, wall, trace_fp, perfetto_fp) in GOLDEN_PROTOCOLS {
+        let mut cfg = SimConfig::paper_default(16, AppProfile::fft(), proto);
+        cfg.insns_per_thread = 4_000;
+        cfg.seed = 0xfeed;
+        cfg.trace = true;
+        cfg.obs = sb_sim::ObsConfig::on();
+        if perturb_seed != 0 {
+            cfg.perturb = Some(sb_net::PerturbationConfig::from_seed(perturb_seed));
+        }
+        let r = run_simulation(&cfg);
+        let trace = r.trace.as_ref().expect("golden rows enable tracing");
+        let got = (
+            r.commits,
+            r.wall_cycles,
+            trace.fingerprint(),
+            sb_obs::fingerprint(perfetto_trace(&r).to_string().as_bytes()),
+        );
+        if print {
+            println!(
+                "({proto:?}, {perturb_seed:#x}, {}, {}, {:#x}, {:#x}),",
+                got.0, got.1, got.2, got.3
+            );
+            continue;
+        }
         assert_eq!(
-            got, reference,
-            "perfetto export drifted at {domains} domains"
+            got,
+            (commits, wall, trace_fp, perfetto_fp),
+            "{proto} perturb={perturb_seed:#x} drifted from its golden row"
         );
     }
 }

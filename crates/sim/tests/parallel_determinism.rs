@@ -18,7 +18,6 @@ fn sweep_with_jobs(jobs: usize) -> Sweep {
         insns_per_thread: 4_000,
         seed: 0xd15c0,
         jobs,
-        domains: 1,
     }
 }
 
@@ -59,24 +58,6 @@ fn rendered_table_is_byte_identical_across_job_counts() {
     let t1 = ablation_signature_table(AppProfile::fft(), &sweep_with_jobs(1)).render();
     let t4 = ablation_signature_table(AppProfile::fft(), &sweep_with_jobs(4)).render();
     assert_eq!(t1, t4, "table text depends on worker count");
-}
-
-/// Intra-run domain partitioning is equally unobservable: the same
-/// table rendered with each simulation split over 4 conservative PDES
-/// domains is byte-identical to the single-threaded reference, and the
-/// two axes compose (jobs 2 × domains 4).
-#[test]
-fn rendered_table_is_byte_identical_across_domain_counts() {
-    let d1 = ablation_signature_table(AppProfile::fft(), &sweep_with_jobs(2)).render();
-    let d4 = ablation_signature_table(
-        AppProfile::fft(),
-        &Sweep {
-            domains: 4,
-            ..sweep_with_jobs(2)
-        },
-    )
-    .render();
-    assert_eq!(d1, d4, "table text depends on domain count");
 }
 
 /// Direct parallel_map over SimConfigs preserves input order even when

@@ -1,7 +1,6 @@
 //! Cross-crate end-to-end tests: full-system runs through the public
-//! facade API, including the determinism battery that pins the
-//! domain-partitioned parallel executor (`SimConfig::domains`) to
-//! bit-identical results at every domain count.
+//! facade API. The per-protocol golden table of observed runs lives in
+//! `crates/sim/tests/golden_trace.rs`.
 
 use scalablebulk::prelude::*;
 
@@ -121,152 +120,4 @@ fn smaller_signatures_squash_more() {
         small_r.squashes_alias,
         big.squashes_alias
     );
-}
-
-// ---------------------------------------------------------------------
-// Determinism battery for the domain-partitioned parallel executor.
-//
-// `SimConfig::domains > 1` spreads the per-core schedulers over worker
-// threads advancing in conservative lookahead windows. The contract is
-// that this is *unobservable*: every simulated metric, the causal
-// RunTrace (via its fingerprint), and the serialized Perfetto document
-// must be bit-identical to the single-threaded run at any domain count,
-// for every protocol, with and without the network-timing adversary.
-// ---------------------------------------------------------------------
-
-/// Table 3's four protocols plus the SEQ-TS extension — the same five
-/// the fuzzer cycles through.
-const BATTERY_PROTOCOLS: [ProtocolKind; 5] = [
-    ProtocolKind::ScalableBulk,
-    ProtocolKind::Tcc,
-    ProtocolKind::Seq,
-    ProtocolKind::SeqTs,
-    ProtocolKind::BulkSc,
-];
-
-/// Everything observable about one run that the battery compares.
-struct Outcome {
-    wall_cycles: u64,
-    commits: u64,
-    squashes: u64,
-    messages: u64,
-    read_nacks: u64,
-    commit_retries: u64,
-    latency: (u64, u128, u64),
-    breakdown: sb_stats::Breakdown,
-    trace_fingerprint: u64,
-    trace_events: usize,
-    perfetto: String,
-}
-
-fn battery_outcome(proto: ProtocolKind, domains: usize, perturb_seed: u64) -> Outcome {
-    let mut cfg = SimConfig::paper_default(16, AppProfile::fft(), proto);
-    cfg.insns_per_thread = 4_000;
-    cfg.seed = 0xfeed;
-    cfg.trace = true;
-    cfg.obs = sb_sim::ObsConfig::on();
-    cfg.domains = domains;
-    if perturb_seed != 0 {
-        cfg.perturb = Some(sb_net::PerturbationConfig::from_seed(perturb_seed));
-    }
-    let r = run_simulation(&cfg);
-    let trace = r.trace.as_ref().expect("battery configs enable tracing");
-    Outcome {
-        wall_cycles: r.wall_cycles,
-        commits: r.commits,
-        squashes: r.squashes(),
-        messages: r.traffic.total_messages(),
-        read_nacks: r.read_nacks,
-        commit_retries: r.commit_retries,
-        latency: (r.latency.count(), r.latency.sum(), r.latency.max()),
-        breakdown: r.breakdown,
-        trace_fingerprint: trace.fingerprint(),
-        trace_events: trace.events.len(),
-        perfetto: sb_sim::perfetto_trace(&r).to_string(),
-    }
-}
-
-fn assert_outcomes_identical(ctx: &str, got: &Outcome, want: &Outcome) {
-    assert_eq!(got.wall_cycles, want.wall_cycles, "{ctx}: wall_cycles");
-    assert_eq!(got.commits, want.commits, "{ctx}: commits");
-    assert_eq!(got.squashes, want.squashes, "{ctx}: squashes");
-    assert_eq!(got.messages, want.messages, "{ctx}: traffic");
-    assert_eq!(got.read_nacks, want.read_nacks, "{ctx}: read nacks");
-    assert_eq!(got.commit_retries, want.commit_retries, "{ctx}: retries");
-    assert_eq!(got.latency, want.latency, "{ctx}: latency distribution");
-    assert_eq!(got.breakdown, want.breakdown, "{ctx}: cycle breakdown");
-    assert_eq!(
-        got.trace_fingerprint, want.trace_fingerprint,
-        "{ctx}: RunTrace fingerprint"
-    );
-    assert_eq!(got.trace_events, want.trace_events, "{ctx}: trace events");
-    assert_eq!(got.perfetto, want.perfetto, "{ctx}: perfetto JSON");
-}
-
-/// Core of the battery: for all five protocols, an observed 16-core run
-/// at domains 2, 4 and 8 reproduces the single-threaded run bit for
-/// bit — metrics, RunTrace fingerprint, and Perfetto JSON.
-#[test]
-fn domain_battery_every_protocol_is_bit_identical_across_domain_counts() {
-    for proto in BATTERY_PROTOCOLS {
-        let reference = battery_outcome(proto, 1, 0);
-        assert!(reference.trace_fingerprint != 0, "{proto}: trace missing");
-        assert!(reference.commits > 0, "{proto}: no work committed");
-        for domains in [2usize, 4, 8] {
-            let got = battery_outcome(proto, domains, 0);
-            assert_outcomes_identical(&format!("{proto} @ {domains} domains"), &got, &reference);
-        }
-    }
-}
-
-/// The battery holds under the seeded network-timing adversary too:
-/// perturbation delays are injected identically in every domain, so the
-/// perturbed schedule is also domain-count-invariant (while genuinely
-/// differing from the unperturbed one).
-#[test]
-fn domain_battery_holds_under_the_timing_adversary() {
-    const ADVERSARY: u64 = 0x7e17_a11d;
-    let plain = battery_outcome(ProtocolKind::ScalableBulk, 1, 0);
-    let reference = battery_outcome(ProtocolKind::ScalableBulk, 1, ADVERSARY);
-    assert_ne!(
-        reference.trace_fingerprint, plain.trace_fingerprint,
-        "adversary failed to perturb the schedule"
-    );
-    for domains in [2usize, 4, 8] {
-        let got = battery_outcome(ProtocolKind::ScalableBulk, domains, ADVERSARY);
-        assert_outcomes_identical(
-            &format!("perturbed ScalableBulk @ {domains} domains"),
-            &got,
-            &reference,
-        );
-    }
-}
-
-/// The rendered Figure-7 table — the artifact the CI determinism step
-/// diffs via the `figures` binary — is byte-identical at every domain
-/// count (exercising the full RunSet path: parallel run fan-out with
-/// `jobs` composed with intra-run `domains`).
-#[test]
-fn fig7_table_is_byte_identical_at_every_domain_count() {
-    use sb_sim::experiments::{exec_time_table_from, RunSet, Sweep};
-
-    let apps = [AppProfile::fft()];
-    let table_at = |domains: usize| {
-        let sweep = Sweep {
-            insns_per_thread: 600,
-            seed: 0xfeed,
-            jobs: sb_sim::parallel::AUTO_JOBS,
-            domains,
-        };
-        let set = RunSet::collect(&apps, &[32, 64], &ProtocolKind::ALL, &sweep, true);
-        exec_time_table_from(&apps, &set).render()
-    };
-    let reference = table_at(1);
-    for domains in [2usize, 4, 8] {
-        assert_eq!(
-            table_at(domains),
-            reference,
-            "fig7 table drifted at {domains} domains"
-        );
-    }
 }
