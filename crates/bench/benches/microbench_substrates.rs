@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sb_engine::Cycle;
-use sb_mem::{CacheConfig, LineAddr, SetAssocCache};
+use sb_mem::{CacheConfig, CacheHierarchy, CacheHierarchyConfig, LineAddr, SetAssocCache};
 use sb_net::{MsgSize, Network, NetworkConfig, NodeId, TrafficClass};
 use sb_sigs::{Signature, SignatureConfig};
 use sb_workloads::{AppProfile, WorkloadGen};
@@ -41,6 +41,33 @@ fn caches(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % 4096;
             cache.access(LineAddr(i), false)
+        })
+    });
+    // The wide-machine regime: one access per core in turn across 256
+    // private hierarchies, each with ¾ of its L2 prefilled as
+    // `Machine::new` does, so the combined tag state far exceeds the host
+    // cache and every access pays for where its cache lives.
+    c.bench_function("hierarchy_access_256", |b| {
+        const CORES: u64 = 256;
+        let cfg = CacheHierarchyConfig::paper_default();
+        let fill = cfg.l2.capacity_lines() * 3 / 4;
+        let base = |core: u64| core << 24;
+        let mut hiers: Vec<CacheHierarchy> = (0..CORES)
+            .map(|core| {
+                let mut h = CacheHierarchy::new(cfg);
+                for l in 0..fill {
+                    h.fill(LineAddr(base(core) + l));
+                }
+                h
+            })
+            .collect();
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let core = i % CORES;
+            // Stride through the prefilled lines so most accesses miss L1.
+            let line = (i / CORES).wrapping_mul(7919) % fill;
+            hiers[core as usize].access(LineAddr(base(core) + line))
         })
     });
 }

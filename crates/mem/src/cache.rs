@@ -1,6 +1,5 @@
 //! A set-associative cache model with LRU replacement.
 
-use sb_engine::FxHashMap;
 use sb_sigs::{bank_hash, Signature, SignatureConfig};
 
 use crate::addr::{LineAddr, LINE_BYTES};
@@ -60,20 +59,44 @@ impl CacheConfig {
     }
 }
 
-/// One resident line's metadata.
+/// One way of a set: the resident line's tag, its LRU stamp and its
+/// dirty bit, packed into 16 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Way {
     line: LineAddr,
-    dirty: bool,
-    /// Monotonic timestamp of last access (for LRU).
+    /// `tick << 1 | dirty` at the last access. Ticks are pre-incremented
+    /// from 0, so a resident way never has stamp 0: 0 marks an empty way,
+    /// and the stamp order of resident ways is their LRU order.
     lru: u64,
+}
+
+impl Way {
+    const EMPTY: Way = Way {
+        line: LineAddr(0),
+        lru: 0,
+    };
+
+    fn holds(self, line: LineAddr) -> bool {
+        self.lru != 0 && self.line == line
+    }
+
+    fn dirty(self) -> bool {
+        self.lru & 1 != 0
+    }
+
+    /// Stamps the way as accessed at `tick`, OR-ing in `dirty`.
+    fn touch(&mut self, tick: u64, dirty: bool) {
+        self.lru = tick << 1 | (self.lru & 1) | dirty as u64;
+    }
 }
 
 /// A set-associative, LRU, write-allocate cache.
 ///
 /// The model tracks tags and dirtiness only — there is no data array, since
-/// the protocol layer never needs values, only presence. A hash-map shadow
-/// index gives O(1) lookups; the per-set `Vec` keeps replacement exact.
+/// the protocol layer never needs values, only presence. All ways live in
+/// one flat set-major array, so a lookup is a scan of at most `assoc`
+/// adjacent 16-byte ways and a cache costs one allocation; replacement is
+/// exact LRU (the way with the smallest stamp).
 ///
 /// For bulk invalidation the cache also keeps an inverted bank-0 signature
 /// index over its resident tags (bank-0 bit position → resident lines
@@ -94,8 +117,12 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
-    index: FxHashMap<LineAddr, usize>,
+    /// Every way, set-major: set `s` owns `ways[s * assoc..(s + 1) * assoc]`.
+    ways: Vec<Way>,
+    assoc: usize,
+    nsets: u64,
+    /// Number of non-empty ways.
+    resident: usize,
     /// Geometry of the W signatures the inverted index serves; expansions
     /// with any other geometry fall back to a full tag scan.
     sig_cfg: SignatureConfig,
@@ -117,11 +144,13 @@ impl SetAssocCache {
     /// Creates an empty cache whose inverted signature index matches
     /// `sig` — the geometry of the W signatures it will be asked to expand.
     pub fn with_signature_config(cfg: CacheConfig, sig: SignatureConfig) -> Self {
-        let nsets = cfg.sets() as usize;
+        let nsets = cfg.sets();
         SetAssocCache {
             cfg,
-            sets: vec![Vec::with_capacity(cfg.assoc as usize); nsets],
-            index: FxHashMap::default(),
+            ways: vec![Way::EMPTY; cfg.capacity_lines() as usize],
+            assoc: cfg.assoc as usize,
+            nsets,
+            resident: 0,
             sig_cfg: sig,
             buckets: vec![Vec::new(); sig.bits_per_bank() as usize],
             tick: 0,
@@ -131,8 +160,25 @@ impl SetAssocCache {
         }
     }
 
-    fn set_of(&self, line: LineAddr) -> usize {
-        (line.as_u64() % self.sets.len() as u64) as usize
+    /// The ways of the set `line` maps to.
+    #[inline]
+    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
+        let start = (line.as_u64() % self.nsets) as usize * self.assoc;
+        start..start + self.assoc
+    }
+
+    /// The way holding `line`, if resident.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<&Way> {
+        self.ways[self.set_range(line)]
+            .iter()
+            .find(|w| w.holds(line))
+    }
+
+    #[inline]
+    fn find_mut(&mut self, line: LineAddr) -> Option<&mut Way> {
+        let set = self.set_range(line);
+        self.ways[set].iter_mut().find(|w| w.holds(line))
     }
 
     #[inline]
@@ -152,11 +198,9 @@ impl SetAssocCache {
     /// [`SetAssocCache::fill`] when the fill response arrives.
     pub fn access(&mut self, line: LineAddr, write: bool) -> bool {
         self.tick += 1;
-        let set = self.set_of(line);
         let tick = self.tick;
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.line == line) {
-            way.lru = tick;
-            way.dirty |= write;
+        if let Some(way) = self.find_mut(line) {
+            way.touch(tick, write);
             self.hits += 1;
             true
         } else {
@@ -167,38 +211,40 @@ impl SetAssocCache {
 
     /// Peeks without perturbing LRU or counters.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.index.contains_key(&line)
+        self.find(line).is_some()
     }
 
-    /// Installs a line, evicting the LRU way if the set is full.
-    /// Returns the evicted line and whether it was dirty, if any.
+    /// Installs a line into the set's first empty way, or over its LRU way
+    /// if the set is full. Returns the evicted line and whether it was
+    /// dirty, if any.
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<(LineAddr, bool)> {
         self.tick += 1;
-        let set = self.set_of(line);
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.line == line) {
-            way.lru = self.tick;
-            way.dirty |= dirty;
+        let tick = self.tick;
+        let set = self.set_range(line);
+        let ways = &mut self.ways[set];
+        if let Some(way) = ways.iter_mut().find(|w| w.holds(line)) {
+            way.touch(tick, dirty);
             return None;
         }
-        let mut victim = None;
-        if self.sets[set].len() == self.cfg.assoc as usize {
-            let (vi, _) = self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru)
-                .expect("full set has ways");
-            let v = self.sets[set].swap_remove(vi);
-            self.index.remove(&v.line);
-            self.bucket_remove(v.line);
-            self.evictions += 1;
-            victim = Some((v.line, v.dirty));
-        }
-        self.sets[set].push(Way {
-            line,
-            dirty,
-            lru: self.tick,
+        let slot = ways.iter().position(|w| w.lru == 0).unwrap_or_else(|| {
+            // Full set: stamps are unique, so the minimum is the one LRU way.
+            (0..ways.len())
+                .min_by_key(|&i| ways[i].lru)
+                .expect("sets have ways")
         });
-        self.index.insert(line, set);
+        let new = Way {
+            line,
+            lru: tick << 1 | dirty as u64,
+        };
+        let old = std::mem::replace(&mut ways[slot], new);
+        let victim = if old.lru == 0 {
+            self.resident += 1;
+            None
+        } else {
+            self.bucket_remove(old.line);
+            self.evictions += 1;
+            Some((old.line, old.dirty()))
+        };
         let bucket = self.bucket_of(line);
         self.buckets[bucket].push(line);
         victim
@@ -207,39 +253,33 @@ impl SetAssocCache {
     /// Removes a line (coherence invalidation). Returns whether it was
     /// present.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        if let Some(set) = self.index.remove(&line) {
-            if let Some(pos) = self.sets[set].iter().position(|w| w.line == line) {
-                self.sets[set].swap_remove(pos);
-                self.bucket_remove(line);
-                return true;
-            }
-        }
-        false
+        let Some(way) = self.find_mut(line) else {
+            return false;
+        };
+        *way = Way::EMPTY;
+        self.resident -= 1;
+        self.bucket_remove(line);
+        true
     }
 
     /// Marks a resident line clean (e.g. after a write-back). No-op if the
     /// line is absent.
     pub fn clean(&mut self, line: LineAddr) {
-        if let Some(&set) = self.index.get(&line) {
-            if let Some(way) = self.sets[set].iter_mut().find(|w| w.line == line) {
-                way.dirty = false;
-            }
+        if let Some(way) = self.find_mut(line) {
+            way.lru &= !1;
         }
     }
 
     /// Whether a resident line is dirty (`None` if absent).
     pub fn is_dirty(&self, line: LineAddr) -> Option<bool> {
-        let set = *self.index.get(&line)?;
-        self.sets[set]
-            .iter()
-            .find(|w| w.line == line)
-            .map(|w| w.dirty)
+        self.find(line).map(|w| w.dirty())
     }
 
-    /// Iterates over all resident line addresses (the tag array), used when
-    /// expanding a W signature against this cache for bulk invalidation.
+    /// Iterates over all resident line addresses (the tag array) in way
+    /// order, used when expanding a W signature against this cache for
+    /// bulk invalidation.
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.index.keys().copied()
+        self.ways.iter().filter(|w| w.lru != 0).map(|w| w.line)
     }
 
     /// Appends every resident line matching `wsig` to `out` (signature
@@ -256,18 +296,18 @@ impl SetAssocCache {
                 );
             }
         } else {
-            out.extend(self.index.keys().filter(|l| wsig.test(l.as_u64())));
+            out.extend(self.resident_lines().filter(|l| wsig.test(l.as_u64())));
         }
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.resident
     }
 
     /// Whether the cache holds no lines.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.resident == 0
     }
 
     /// (hits, misses, evictions) since construction.
@@ -414,33 +454,125 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Reference LRU cache: each set is a list of `(line, dirty)` ordered
+    /// least- to most-recently used.
+    struct Model {
+        sets: Vec<Vec<(LineAddr, bool)>>,
+        assoc: usize,
+        counters: (u64, u64, u64),
+    }
+
+    impl Model {
+        fn new(cfg: CacheConfig) -> Self {
+            Model {
+                sets: vec![Vec::new(); cfg.sets() as usize],
+                assoc: cfg.assoc as usize,
+                counters: (0, 0, 0),
+            }
+        }
+
+        /// The set of `line` and its position there, if resident.
+        fn locate(&mut self, line: LineAddr) -> (&mut Vec<(LineAddr, bool)>, Option<usize>) {
+            let n = self.sets.len() as u64;
+            let set = &mut self.sets[(line.as_u64() % n) as usize];
+            let pos = set.iter().position(|&(l, _)| l == line);
+            (set, pos)
+        }
+
+        /// Moves a resident line to the MRU end, OR-ing in `dirty`.
+        fn touch(set: &mut Vec<(LineAddr, bool)>, pos: usize, dirty: bool) {
+            let (l, d) = set.remove(pos);
+            set.push((l, d | dirty));
+        }
+
+        fn access(&mut self, line: LineAddr, write: bool) -> bool {
+            let (set, pos) = self.locate(line);
+            let hit = pos.is_some();
+            if let Some(pos) = pos {
+                Self::touch(set, pos, write);
+            }
+            if hit {
+                self.counters.0 += 1;
+            } else {
+                self.counters.1 += 1;
+            }
+            hit
+        }
+
+        fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<(LineAddr, bool)> {
+            let assoc = self.assoc;
+            let (set, pos) = self.locate(line);
+            if let Some(pos) = pos {
+                Self::touch(set, pos, dirty);
+                return None;
+            }
+            let victim = (set.len() == assoc).then(|| set.remove(0));
+            set.push((line, dirty));
+            if victim.is_some() {
+                self.counters.2 += 1;
+            }
+            victim
+        }
+
+        fn invalidate(&mut self, line: LineAddr) -> bool {
+            let (set, pos) = self.locate(line);
+            pos.map(|pos| set.remove(pos)).is_some()
+        }
+
+        fn clean(&mut self, line: LineAddr) {
+            let (set, pos) = self.locate(line);
+            if let Some(pos) = pos {
+                set[pos].1 = false;
+            }
+        }
+
+        fn resident(&self) -> Vec<(LineAddr, bool)> {
+            let mut all: Vec<_> = self.sets.iter().flatten().copied().collect();
+            all.sort_unstable();
+            all
+        }
+    }
+
     proptest! {
-        /// The shadow index and the per-set arrays always agree, and
-        /// occupancy never exceeds capacity.
+        /// The flat way array behaves exactly like a reference LRU model:
+        /// same hits and misses, same `(line, dirty)` victims, same
+        /// counters and resident set; and the inverted signature index
+        /// holds exactly the resident lines, each in its bank-0 bucket.
         #[test]
-        fn prop_cache_invariants(ops in proptest::collection::vec((any::<u8>(), 0u64..64), 1..500)) {
-            let mut c = SetAssocCache::new(CacheConfig { size_bytes: 8 * LINE_BYTES, assoc: 2 });
-            for (op, line) in ops {
+        fn prop_cache_matches_lru_model(
+            assoc_log in 0u8..3,
+            ops in proptest::collection::vec((0u8..4, 0u64..48, any::<bool>()), 1..400)
+        ) {
+            let cfg = CacheConfig { size_bytes: 8 * LINE_BYTES, assoc: 1 << assoc_log };
+            let mut c = SetAssocCache::new(cfg);
+            let mut m = Model::new(cfg);
+            for (op, line, flag) in ops {
                 let line = LineAddr(line);
-                match op % 3 {
-                    0 => { c.access(line, op % 2 == 0); },
-                    1 => { c.fill(line, false); },
-                    _ => { c.invalidate(line); },
+                match op {
+                    0 => prop_assert_eq!(c.access(line, flag), m.access(line, flag)),
+                    1 => prop_assert_eq!(c.fill(line, flag), m.fill(line, flag)),
+                    2 => prop_assert_eq!(c.invalidate(line), m.invalidate(line)),
+                    _ => {
+                        c.clean(line);
+                        m.clean(line);
+                    }
                 }
-                prop_assert!(c.len() <= 8);
-                // Index and sets agree.
-                let from_sets: usize = c.sets.iter().map(|s| s.len()).sum();
-                prop_assert_eq!(from_sets, c.len());
-                for l in c.resident_lines().collect::<Vec<_>>() {
-                    prop_assert!(c.contains(l));
-                }
-                // The inverted signature index tracks exactly the
-                // resident lines, each in its bank-0 bucket.
-                let from_buckets: usize = c.buckets.iter().map(|b| b.len()).sum();
-                prop_assert_eq!(from_buckets, c.len());
+                prop_assert_eq!(c.counters(), m.counters);
+                let want = m.resident();
+                let mut got: Vec<_> = c
+                    .resident_lines()
+                    .map(|l| (l, c.is_dirty(l).expect("resident line")))
+                    .collect();
+                got.sort_unstable();
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(c.len(), want.len());
+                prop_assert_eq!(c.is_dirty(line), want.iter().find(|w| w.0 == line).map(|w| w.1));
+                let mut bucketed: Vec<LineAddr> = c.buckets.iter().flatten().copied().collect();
+                bucketed.sort_unstable();
+                let lines: Vec<LineAddr> = want.iter().map(|w| w.0).collect();
+                prop_assert_eq!(bucketed, lines);
                 for (bit, b) in c.buckets.iter().enumerate() {
                     for l in b {
-                        prop_assert!(c.contains(*l));
                         prop_assert_eq!(c.bucket_of(*l), bit);
                     }
                 }

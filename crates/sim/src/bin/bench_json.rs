@@ -279,7 +279,7 @@ fn main() {
                 concat!(
                     "    {{\"prof\": true, \"protocol\": \"{}\", \"cores\": {}, ",
                     "\"fabric\": \"{}\", ",
-                    "\"superphases\": {}, \"hub_busy_phases\": {}, ",
+                    "\"superphases\": {}, \"unit_visits\": {}, \"hub_busy_phases\": {}, ",
                     "\"hub_utilization\": {:.6}, ",
                     "\"queue_ring_pushes\": {}, \"queue_far_pushes\": {}, ",
                     "\"queue_past_pushes\": {}, \"peak_rss_bytes\": {}}}{}\n"
@@ -288,6 +288,7 @@ fn main() {
                 e.cores,
                 e.fabric,
                 c("prof.superphases"),
+                c("prof.unit_visits"),
                 c("prof.hub_busy_phases"),
                 m.gauge("prof.hub_utilization").unwrap_or(0.0),
                 c("prof.queue.ring_pushes"),

@@ -7,8 +7,9 @@
 //!
 //! Runs one simulation with `cfg.obs.profile` on (independent of the
 //! observability log — profiling alone allocates nothing per event) and
-//! prints where the *host* time went: core-unit (plane A) busy time,
-//! hub-plane utilization, the calendar queue's tier occupancy/overflow
+//! prints where the *host* time went: core-unit (plane A) busy time and
+//! unit visits (units actually run, per dispatched event), hub-plane
+//! utilization, the calendar queue's tier occupancy/overflow
 //! counters, and peak RSS.
 //!
 //! Profiling never touches simulated state: wall cycles and commits are
@@ -111,9 +112,12 @@ fn main() {
         "superphases: {superphases} ({} in drain)",
         c("prof.drain_superphases")
     );
+    let visits = c("prof.unit_visits");
+    let events = r.perf.events_dispatched.max(1);
     println!(
-        "core units plane A: {:.6}s busy",
-        g("prof.domain_busy_secs.d0")
+        "core units plane A: {:.6}s busy, {visits} unit visits ({:.3} per event)",
+        g("prof.domain_busy_secs.d0"),
+        visits as f64 / events as f64
     );
     println!(
         "hub plane B: busy {}/{} phases (utilization {:.3}), {:.6}s",

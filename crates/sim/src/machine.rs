@@ -31,7 +31,10 @@
 //!
 //! The superphase schedule defines simulated timing (the goldens pin
 //! it). Mail crosses the plane boundary in a fixed (unit index,
-//! generation) order.
+//! generation) order. A unit with no event below the horizon would
+//! drain nothing, so the loop tracks each unit's next event time and
+//! skips it; with hundreds of cores most units are idle in any one
+//! superphase.
 //!
 //! Observability (causal flows, the chunk-lifecycle trace, the obs log)
 //! goes to one [`Recorder`] owned by the machine and lent to whichever
@@ -1776,6 +1779,10 @@ struct Prof {
     b_busy_phases: u64,
     /// Total B phases.
     b_phases: u64,
+    /// Core units run in the measured run's A phases (units with no event
+    /// before the horizon are skipped, so this is at most
+    /// `superphases × cores`).
+    unit_visits: u64,
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -2077,27 +2084,41 @@ impl<P: CommitProtocol> Machine<P> {
         let mut finished = self.units.iter().filter(|u| u.finish_reported).count();
         let progress = std::env::var_os("SB_SIM_PROGRESS").is_some();
         let mut next_report = 5_000_000u64;
+        // Active-unit index: the time of each unit's earliest pending
+        // event (`Cycle::MAX` when idle). Refreshed after the unit runs
+        // and lowered when hub mail lands, so G, the hub horizon and the
+        // set of units to run come from one dense array instead of a
+        // queue peek per unit per superphase.
+        let mut next_at: Vec<Cycle> = self
+            .units
+            .iter()
+            .map(|u| u.queue.peek_time().unwrap_or(Cycle::MAX))
+            .collect();
         loop {
             if !drain && finished == total {
                 break;
             }
             // G: the earliest pending event anywhere. Mail is already in
             // the unit queues (delivered below), so two terms suffice.
-            let mut g = self.hub.bq.peek_time().unwrap_or(Cycle::MAX);
-            for u in &self.units {
-                if let Some(t) = u.queue.peek_time() {
-                    if t < g {
-                        g = t;
-                    }
-                }
-            }
+            let hub_next = self.hub.bq.peek_time().unwrap_or(Cycle::MAX);
+            let g = next_at.iter().copied().fold(hub_next, Cycle::min);
             if g == Cycle::MAX {
                 return !drain && finished < total;
             }
             let ha = g + margin;
             let t_a = profile.then(std::time::Instant::now);
-            for u in self.units.iter_mut() {
+            // Only units with an event before the horizon have work; they
+            // run in ascending index order, as a full sweep would, so hub
+            // mail, recorder order and flow ids are unchanged.
+            let mut visits = 0u64;
+            for (i, next) in next_at.iter_mut().enumerate() {
+                if *next >= ha {
+                    continue;
+                }
+                visits += 1;
+                let u = &mut self.units[i];
                 u.run_phase(ha, &self.dirs, &mut self.rec, resched(&mut sched));
+                *next = u.queue.peek_time().unwrap_or(Cycle::MAX);
                 for (at, m) in u.to_b.drain(..) {
                     self.hub.bq.push(at, BEv::FromCore(m));
                 }
@@ -2112,19 +2133,13 @@ impl<P: CommitProtocol> Machine<P> {
                     self.prof.drain_superphases += 1;
                 } else {
                     self.prof.superphases += 1;
+                    self.prof.unit_visits += visits;
                 }
             }
             if !drain && finished == total {
                 break;
             }
-            let mut hb0 = Cycle::MAX;
-            for u in &self.units {
-                if let Some(t) = u.queue.peek_time() {
-                    if t < hb0 {
-                        hb0 = t;
-                    }
-                }
-            }
+            let hb0 = next_at.iter().copied().fold(Cycle::MAX, Cycle::min);
             if profile {
                 let ev0 = self.hub.events;
                 let t = std::time::Instant::now();
@@ -2141,6 +2156,8 @@ impl<P: CommitProtocol> Machine<P> {
             }
             for (core, at, ev) in self.hub.mail.drain(..) {
                 self.units[core as usize].queue.push(at, ev);
+                let next = &mut next_at[core as usize];
+                *next = (*next).min(at);
             }
             if progress {
                 let ev: u64 = self.units.iter().map(|u| u.events).sum::<u64>() + self.hub.events;
@@ -2370,6 +2387,7 @@ impl<P: CommitProtocol> Machine<P> {
             reg.add_counter("prof.drain_superphases", p.drain_superphases);
             reg.add_counter("prof.hub_phases", p.b_phases);
             reg.add_counter("prof.hub_busy_phases", p.b_busy_phases);
+            reg.add_counter("prof.unit_visits", p.unit_visits);
             reg.set_gauge(
                 "prof.hub_utilization",
                 if p.b_phases == 0 {

@@ -77,26 +77,38 @@ const GOLDEN_PROTOCOLS: [(ProtocolKind, u64, u64, u64, u64, u64); 6] = [
     (ProtocolKind::ScalableBulk, ADVERSARY, 56, 13517, 0x2b2b8204ecf97d86, 0x4debe9fb5ebf1f56),
 ];
 
+/// An observed FFT run (seed `0xfeed`, trace and obs on).
+fn observed_fft(cores: u16, insns: u64, proto: ProtocolKind) -> SimConfig {
+    let mut cfg = SimConfig::paper_default(cores, AppProfile::fft(), proto);
+    cfg.insns_per_thread = insns;
+    cfg.seed = 0xfeed;
+    cfg.trace = true;
+    cfg.obs = sb_sim::ObsConfig::on();
+    cfg
+}
+
+/// The pinned columns of a golden row: commits, wall cycles,
+/// `RunTrace::fingerprint`, Perfetto document fingerprint.
+fn pinned_columns(cfg: &SimConfig) -> (u64, u64, u64, u64) {
+    let r = run_simulation(cfg);
+    let trace = r.trace.as_ref().expect("golden rows enable tracing");
+    (
+        r.commits,
+        r.wall_cycles,
+        trace.fingerprint(),
+        sb_obs::fingerprint(perfetto_trace(&r).to_string().as_bytes()),
+    )
+}
+
 #[test]
 fn every_protocol_matches_its_golden_row() {
     let print = std::env::var_os("SB_GOLDEN_PRINT").is_some();
     for (proto, perturb_seed, commits, wall, trace_fp, perfetto_fp) in GOLDEN_PROTOCOLS {
-        let mut cfg = SimConfig::paper_default(16, AppProfile::fft(), proto);
-        cfg.insns_per_thread = 4_000;
-        cfg.seed = 0xfeed;
-        cfg.trace = true;
-        cfg.obs = sb_sim::ObsConfig::on();
+        let mut cfg = observed_fft(16, 4_000, proto);
         if perturb_seed != 0 {
             cfg.perturb = Some(sb_net::PerturbationConfig::from_seed(perturb_seed));
         }
-        let r = run_simulation(&cfg);
-        let trace = r.trace.as_ref().expect("golden rows enable tracing");
-        let got = (
-            r.commits,
-            r.wall_cycles,
-            trace.fingerprint(),
-            sb_obs::fingerprint(perfetto_trace(&r).to_string().as_bytes()),
-        );
+        let got = pinned_columns(&cfg);
         if print {
             println!(
                 "({proto:?}, {perturb_seed:#x}, {}, {}, {:#x}, {:#x}),",
@@ -108,6 +120,39 @@ fn every_protocol_matches_its_golden_row() {
             got,
             (commits, wall, trace_fp, perfetto_fp),
             "{proto} perturb={perturb_seed:#x} drifted from its golden row"
+        );
+    }
+}
+
+/// Observed 128-core ScalableBulk FFT runs (3k insns/thread, seed
+/// `0xfeed`, trace and obs on) on two fabrics: past the 64-bit `WideMask`
+/// spill, where most units sit idle in any one superphase. Columns:
+/// fabric, commits, wall cycles, `RunTrace::fingerprint`, Perfetto
+/// document fingerprint.
+#[rustfmt::skip]
+const GOLDEN_WIDE: [(&str, u64, u64, u64, u64); 2] = [
+    ("torus", 391, 15192, 0x3329c3929caf9b42, 0x49e96f6e68e4e7cd),
+    ("cmesh", 391, 13763, 0xc31c2c53cab04d7c, 0xfd2335146c03b43b),
+];
+
+#[test]
+fn wide_machine_matches_its_golden_rows() {
+    let print = std::env::var_os("SB_GOLDEN_PRINT").is_some();
+    for (fabric, commits, wall, trace_fp, perfetto_fp) in GOLDEN_WIDE {
+        let mut cfg = observed_fft(128, 3_000, ProtocolKind::ScalableBulk);
+        cfg.set_topology(sb_net::Topology::by_name(fabric, 128).expect("known fabric"));
+        let got = pinned_columns(&cfg);
+        if print {
+            println!(
+                "({fabric:?}, {}, {}, {:#x}, {:#x}),",
+                got.0, got.1, got.2, got.3
+            );
+            continue;
+        }
+        assert_eq!(
+            got,
+            (commits, wall, trace_fp, perfetto_fp),
+            "128-core {fabric} drifted from its golden row"
         );
     }
 }
