@@ -1,10 +1,13 @@
 //! Microbenchmarks of the substrates: signature operations, cache
-//! accesses, torus routing and workload generation — the inner loops the
-//! simulator's throughput depends on.
+//! accesses, directory signature expansion, torus routing and workload
+//! generation — the inner loops the simulator's throughput depends on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sb_engine::Cycle;
-use sb_mem::{CacheConfig, CacheHierarchy, CacheHierarchyConfig, LineAddr, SetAssocCache};
+use sb_mem::{
+    CacheConfig, CacheHierarchy, CacheHierarchyConfig, CoreId, DirId, DirectoryState, LineAddr,
+    PageMapPolicy, PageMapper, SetAssocCache,
+};
 use sb_net::{MsgSize, Network, NetworkConfig, NodeId, TrafficClass};
 use sb_sigs::{Signature, SignatureConfig};
 use sb_workloads::{AppProfile, WorkloadGen};
@@ -72,6 +75,72 @@ fn caches(c: &mut Criterion) {
     });
 }
 
+fn directories(c: &mut Criterion) {
+    // One commit's directory work at each write home of a Radix chunk on
+    // 64 directories warmed as `Machine::new` warms them: every shared
+    // pool line resident at its hashed home, and ¾ of each L2's worth of
+    // private lines read by their owner.
+    c.bench_function("directory_expand_64", |b| {
+        const CORES: u16 = 64;
+        let sig = SignatureConfig::paper_default();
+        let mut gen = WorkloadGen::new(AppProfile::radix(), CORES as usize, 0x5ca1_ab1e);
+        let mut mapper = PageMapper::new(PageMapPolicy::FirstTouch, CORES);
+        let mut dirs: Vec<DirectoryState> = (0..CORES)
+            .map(|_| DirectoryState::with_signature_config(sig))
+            .collect();
+        for page in gen.shared_pool_pages() {
+            let h = page.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            let home = mapper.home_of_page(page, CoreId((h % CORES as u64) as u16));
+            for i in 0..LineAddr::PER_PAGE {
+                dirs[home.idx()].mark_resident(page.line(i));
+            }
+        }
+        let fill = CacheHierarchyConfig::paper_default().l2.capacity_lines() * 3 / 4;
+        for core in 0..CORES {
+            let (base, count) = gen.private_region(core as usize);
+            for l in 0..count.min(fill) {
+                let line = LineAddr(base.as_u64() + l);
+                let home = mapper.home_of_line(line, CoreId(core));
+                dirs[home.idx()].record_read(line, CoreId(core));
+            }
+        }
+        // Four chunks per thread: each committer's W signature and the
+        // distinct homes of its writes.
+        let commits: Vec<(CoreId, Signature, Vec<DirId>)> = (0..4 * CORES)
+            .map(|i| {
+                let core = CoreId(i % CORES);
+                let spec = gen.next_chunk(core.idx());
+                let writes: Vec<LineAddr> = spec
+                    .accesses()
+                    .iter()
+                    .filter(|a| a.is_write)
+                    .map(|a| a.line)
+                    .collect();
+                let mut homes: Vec<DirId> = writes
+                    .iter()
+                    .map(|&l| mapper.home_of_line(l, core))
+                    .collect();
+                homes.sort_unstable();
+                homes.dedup();
+                let w = Signature::from_lines(sig, writes.iter().map(|l| l.as_u64()));
+                (core, w, homes)
+            })
+            .collect();
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % commits.len();
+            let (core, w, homes) = &commits[i];
+            let mut touched = 0u32;
+            for home in homes {
+                let d = &mut dirs[home.idx()];
+                touched += d.sharers_matching(w, *core).len() as u32;
+                touched += d.apply_commit(w, *core);
+            }
+            touched
+        })
+    });
+}
+
 fn torus(c: &mut Criterion) {
     c.bench_function("torus_send_64", |b| {
         let mut net = Network::new(NetworkConfig::paper_default(64));
@@ -100,5 +169,5 @@ fn workload(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, signatures, caches, torus, workload);
+criterion_group!(benches, signatures, caches, directories, torus, workload);
 criterion_main!(benches);

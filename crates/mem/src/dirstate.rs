@@ -7,36 +7,39 @@
 //! commit succeeds ("the directories in the group start updating their state
 //! based on the W signature", §3.2).
 //!
-//! Signature expansion is the simulator's hottest directory operation: every
-//! commit makes each participating directory match a W signature against its
-//! tracked lines. A naive scan touches every tracked line (tens of thousands
-//! at steady state) to find the handful that match, so the directory also
-//! maintains an *inverted bank-0 index*: for each bit position of the
-//! signature's finest-grained bank, the tracked lines hashing to it. A line
-//! can only pass [`Signature::test`] if its bank-0 bit is set, so expansion
-//! visits just the buckets of the signature's set bank-0 bits and full-tests
-//! each candidate — identical results, orders of magnitude fewer probes.
+//! Signature expansion is the simulator's hottest directory operation:
+//! every commit makes each participating directory match a W signature
+//! against its tracked lines twice (the local `inval_vec`, then the
+//! commit itself). A directory therefore also keeps a *block index*: its
+//! tracked lines grouped into aligned [`BLOCK_LINES`]-line blocks, each
+//! stored once with the mask of its tracked lines and its per-bank
+//! signature keys ([`sb_sigs::block_keys`]). Blocks are grouped by their
+//! key in one bank. An expansion visits only the groups of the W
+//! signature's set bits in that bank and decodes each block there with
+//! [`Signature::block_matches`] — a bit test per bank, no hashing — so it
+//! yields exactly the lines [`Signature::test`] accepts.
 
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 
 use sb_engine::FxHashMap;
-use sb_sigs::{bank_hash, Signature, SignatureConfig};
+use sb_sigs::{bank_hash, block_keys, is_line_granular, Signature, SignatureConfig, BLOCK_LINES};
 
 use crate::addr::LineAddr;
 use crate::ids::{CoreId, CoreSet};
 
 /// Per-line directory information.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LineDirInfo {
+#[derive(Clone, Debug, Default)]
+struct LineDirInfo {
     /// Cores whose caches may hold the line.
-    pub sharers: CoreSet,
+    sharers: CoreSet,
     /// The core that owns the line dirty, if any.
-    pub owner: Option<CoreId>,
+    owner: Option<CoreId>,
     /// The line is resident somewhere in the machine's aggregate cache
     /// capacity (steady-state modelling): reads are served cache-to-cache
     /// even when the precise sharer set is empty. Resident-only lines are
     /// never invalidation targets.
-    pub resident: bool,
+    resident: bool,
 }
 
 /// Sharer/owner bookkeeping for the lines homed at one directory module.
@@ -61,13 +64,12 @@ pub struct DirectoryState {
     /// pick the shard; iteration-order-sensitive callers sort (or fold
     /// into order-insensitive sets), so results are shard-invariant.
     lines: [FxHashMap<LineAddr, LineDirInfo>; LINE_SHARDS],
-    /// The signature geometry the inverted index is keyed for. Expansions
-    /// with a signature of any *other* geometry fall back to a full scan
-    /// (only exercised by signature-size ablations).
-    sig_cfg: SignatureConfig,
-    /// Inverted index: bank-0 bit position → tracked lines hashing to it.
-    /// Every tracked line appears in exactly one bucket.
-    buckets: Vec<Vec<LineAddr>>,
+    /// Every tracked line sits in exactly one block of this index.
+    blocks: BlockIndex,
+    /// `sharers_matching` + `apply_commit` calls so far.
+    expansions: Cell<u64>,
+    /// Lines those calls matched.
+    lines_matched: Cell<u64>,
 }
 
 /// Number of hash shards the per-module line map is split over.
@@ -80,6 +82,133 @@ fn shard_of(line: LineAddr) -> usize {
     (line.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize
 }
 
+/// The tracked lines as aligned blocks, grouped by the blocks' key in
+/// one bank. A block record is `stride` words: the block's first line
+/// (low word, high word), the mask of its tracked lines, and its key in
+/// every bank. Records of one group sit back to back.
+#[derive(Clone, Debug)]
+struct BlockIndex {
+    /// The signature geometry the keys are computed for; expanding a
+    /// signature of another geometry panics.
+    cfg: SignatureConfig,
+    /// The bank whose key groups the blocks.
+    group_bank: u32,
+    /// Shift from that key to the group number: 4 when the bank is
+    /// line-granular (a block then covers one aligned 16-bit group of
+    /// its bits), else 0.
+    group_shift: u32,
+    /// Words per block record.
+    stride: usize,
+    /// The records of each group.
+    groups: Vec<Vec<u32>>,
+}
+
+/// Record word holding the block's mask of tracked lines.
+const MASK_AT: usize = 2;
+/// Record word where the keys start.
+const KEYS_AT: usize = 3;
+
+impl BlockIndex {
+    fn new(cfg: SignatureConfig) -> Self {
+        // Bank 1 indexes whole blocks: consecutive blocks take distinct
+        // keys and the fold scatters far regions, so a directory's blocks
+        // spread evenly over the groups and a W signature's set bits
+        // there name little more than its own blocks. A one-bank
+        // geometry groups on bank 0's 16-bit groups instead.
+        let group_bank = if cfg.banks() > 1 { 1 } else { 0 };
+        let group_shift = if is_line_granular(group_bank) { 4 } else { 0 };
+        BlockIndex {
+            cfg,
+            group_bank,
+            group_shift,
+            stride: KEYS_AT + cfg.banks() as usize,
+            groups: vec![Vec::new(); (cfg.bits_per_bank() >> group_shift) as usize],
+        }
+    }
+
+    /// First line of the block containing `line`, and `line`'s bit in the
+    /// block's mask.
+    #[inline]
+    fn block_of(line: LineAddr) -> (u64, u32) {
+        let base = line.as_u64() & !(BLOCK_LINES - 1);
+        (base, 1 << (line.as_u64() - base))
+    }
+
+    /// The group of the block starting at `base`.
+    #[inline]
+    fn group_of(&self, base: u64) -> usize {
+        (bank_hash(base, self.group_bank, self.cfg.bits_per_bank()) >> self.group_shift) as usize
+    }
+
+    /// Index of the record of block `base` in `group`, in words.
+    #[inline]
+    fn find(&self, group: &[u32], base: u64) -> Option<usize> {
+        group
+            .chunks_exact(self.stride)
+            .position(|r| r[0] == base as u32 && r[1] == (base >> 32) as u32)
+            .map(|i| i * self.stride)
+    }
+
+    /// Adds a newly tracked line, creating its block (and computing the
+    /// block's keys) if it is the block's first tracked line.
+    fn insert(&mut self, line: LineAddr) {
+        let (base, bit) = Self::block_of(line);
+        let g = self.group_of(base);
+        match self.find(&self.groups[g], base) {
+            Some(at) => self.groups[g][at + MASK_AT] |= bit,
+            None => {
+                let group = &mut self.groups[g];
+                group.extend([base as u32, (base >> 32) as u32, bit]);
+                group.extend(block_keys(self.cfg, base));
+            }
+        }
+    }
+
+    /// Removes a line that stopped being tracked, and its block with it
+    /// when it was the block's last tracked line.
+    fn remove(&mut self, line: LineAddr) {
+        let (base, bit) = Self::block_of(line);
+        let g = self.group_of(base);
+        let at = self
+            .find(&self.groups[g], base)
+            .expect("tracked line has a block");
+        let group = &mut self.groups[g];
+        group[at + MASK_AT] &= !bit;
+        if group[at + MASK_AT] == 0 {
+            let last = group.len() - self.stride;
+            group.copy_within(last.., at);
+            group.truncate(last);
+        }
+    }
+
+    /// Calls `f` on every tracked line that passes `wsig.test`, once each
+    /// and in no particular order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wsig`'s geometry is not the index's.
+    #[inline]
+    fn visit(&self, wsig: &Signature, mut f: impl FnMut(LineAddr)) {
+        assert_eq!(wsig.config(), self.cfg, "signature geometry mismatch");
+        let mut last = usize::MAX;
+        for bit in wsig.bank_set_bits(self.group_bank) {
+            let g = (bit >> self.group_shift) as usize;
+            if g == last {
+                continue;
+            }
+            last = g;
+            for r in self.groups[g].chunks_exact(self.stride) {
+                let mut m = wsig.block_matches(&r[KEYS_AT..], r[MASK_AT] as u16);
+                let base = r[0] as u64 | (r[1] as u64) << 32;
+                while m != 0 {
+                    f(LineAddr(base + m.trailing_zeros() as u64));
+                    m &= m - 1;
+                }
+            }
+        }
+    }
+}
+
 impl DirectoryState {
     /// Creates an empty directory indexed for the paper's signature
     /// geometry.
@@ -87,35 +216,38 @@ impl DirectoryState {
         Self::with_signature_config(SignatureConfig::paper_default())
     }
 
-    /// Creates an empty directory whose inverted index matches `cfg` — the
+    /// Creates an empty directory whose block index matches `cfg` — the
     /// geometry of the W signatures this directory will expand.
     pub fn with_signature_config(cfg: SignatureConfig) -> Self {
         DirectoryState {
             lines: std::array::from_fn(|_| FxHashMap::default()),
-            sig_cfg: cfg,
-            buckets: vec![Vec::new(); cfg.bits_per_bank() as usize],
+            blocks: BlockIndex::new(cfg),
+            expansions: Cell::new(0),
+            lines_matched: Cell::new(0),
         }
     }
 
+    /// Counts one expansion that matched `lines` lines.
     #[inline]
-    fn bucket_of(&self, line: LineAddr) -> usize {
-        bank_hash(line.as_u64(), 0, self.sig_cfg.bits_per_bank()) as usize
+    fn count_expansion(&self, lines: u64) {
+        self.expansions.set(self.expansions.get() + 1);
+        self.lines_matched.set(self.lines_matched.get() + lines);
     }
 
-    /// Whether the inverted index can serve expansions of `wsig`.
-    #[inline]
-    fn indexed_for(&self, wsig: &Signature) -> bool {
-        wsig.config() == self.sig_cfg
+    /// `(expansions, lines matched)`: how many `sharers_matching` and
+    /// `apply_commit` calls this directory has served and how many
+    /// tracked lines they matched in total (host-profile counters).
+    pub fn expansion_counts(&self) -> (u64, u64) {
+        (self.expansions.get(), self.lines_matched.get())
     }
 
-    /// The tracked entry for `line`, registering it in the inverted index
+    /// The tracked entry for `line`, registering it in the block index
     /// when first seen.
     fn tracked_entry(&mut self, line: LineAddr) -> &mut LineDirInfo {
-        let bucket = self.bucket_of(line);
         match self.lines[shard_of(line)].entry(line) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                self.buckets[bucket].push(line);
+                self.blocks.insert(line);
                 e.insert(LineDirInfo::default())
             }
         }
@@ -156,62 +288,40 @@ impl DirectoryState {
         self.lookup(line).and_then(|i| i.owner)
     }
 
-    /// Full info for `line`, if tracked.
-    pub fn info(&self, line: LineAddr) -> Option<LineDirInfo> {
-        self.lookup(line).cloned()
-    }
-
     /// Expands `wsig` against the tracked lines and returns the union of
     /// sharers of every matching line, excluding `committer`. This is the
     /// directory-local `inval_vec` computation of §3.2.1 — performed by all
     /// participating directories in parallel when the signature pair
     /// arrives, before the `g` message shows up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wsig`'s geometry is not the directory's.
     pub fn sharers_matching(&self, wsig: &Signature, committer: CoreId) -> CoreSet {
         let mut set = CoreSet::empty();
-        let mut visit = |info: &LineDirInfo| {
+        let mut matched = 0u64;
+        self.blocks.visit(wsig, |line| {
+            let info = &self.lines[shard_of(line)][&line];
+            matched += 1;
             set.union_with(&info.sharers);
             if let Some(o) = info.owner {
                 set.insert(o);
             }
-        };
-        if self.indexed_for(wsig) {
-            for bit in wsig.bank_set_bits(0) {
-                for line in &self.buckets[bit as usize] {
-                    if wsig.test(line.as_u64()) {
-                        visit(&self.lines[shard_of(*line)][line]);
-                    }
-                }
-            }
-        } else {
-            for shard in &self.lines {
-                for (line, info) in shard {
-                    if wsig.test(line.as_u64()) {
-                        visit(info);
-                    }
-                }
-            }
-        }
+        });
+        self.count_expansion(matched);
         set.remove(committer);
         set
     }
 
-    /// The tracked lines matching `wsig` (signature expansion against the
-    /// directory's tag array).
+    /// The tracked lines matching `wsig`, ascending (signature expansion
+    /// against the directory's tag array).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wsig`'s geometry is not the directory's.
     pub fn lines_matching(&self, wsig: &Signature) -> Vec<LineAddr> {
-        let mut v: Vec<LineAddr> = if self.indexed_for(wsig) {
-            wsig.bank_set_bits(0)
-                .flat_map(|bit| self.buckets[bit as usize].iter())
-                .filter(|l| wsig.test(l.as_u64()))
-                .copied()
-                .collect()
-        } else {
-            self.lines
-                .iter()
-                .flat_map(|shard| shard.keys())
-                .filter(|l| wsig.test(l.as_u64()))
-                .copied()
-                .collect()
-        };
+        let mut v = Vec::new();
+        self.blocks.visit(wsig, |line| v.push(line));
         v.sort_unstable();
         v
     }
@@ -219,47 +329,28 @@ impl DirectoryState {
     /// Applies a committed chunk's writes: every tracked line matching
     /// `wsig` becomes dirty-owned by `committer` with no other sharers.
     /// Returns the number of lines updated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wsig`'s geometry is not the directory's.
     pub fn apply_commit(&mut self, wsig: &Signature, committer: CoreId) -> u32 {
         let mut n = 0;
-        if self.indexed_for(wsig) {
-            for bit in wsig.bank_set_bits(0) {
-                for line in &self.buckets[bit as usize] {
-                    if wsig.test(line.as_u64()) {
-                        let info = self.lines[shard_of(*line)]
-                            .get_mut(line)
-                            .expect("index tracks line");
-                        info.sharers = CoreSet::single(committer);
-                        info.owner = Some(committer);
-                        n += 1;
-                    }
-                }
-            }
-        } else {
-            for shard in self.lines.iter_mut() {
-                for (line, info) in shard.iter_mut() {
-                    if wsig.test(line.as_u64()) {
-                        info.sharers = CoreSet::single(committer);
-                        info.owner = Some(committer);
-                        n += 1;
-                    }
-                }
-            }
-        }
+        let lines = &mut self.lines;
+        self.blocks.visit(wsig, |line| {
+            let info = lines[shard_of(line)]
+                .get_mut(&line)
+                .expect("index tracks line");
+            info.sharers = CoreSet::single(committer);
+            info.owner = Some(committer);
+            n += 1;
+        });
+        self.count_expansion(n as u64);
         n
-    }
-
-    /// Records that a committed write created a line not previously tracked
-    /// (e.g. first write to a page homed here).
-    pub fn record_commit_write(&mut self, line: LineAddr, committer: CoreId) {
-        let info = self.tracked_entry(line);
-        info.sharers = CoreSet::single(committer);
-        info.owner = Some(committer);
     }
 
     /// Removes `core` from the sharers of `line` (cache eviction /
     /// invalidation acknowledgement).
     pub fn drop_sharer(&mut self, line: LineAddr, core: CoreId) {
-        let bucket = self.bucket_of(line);
         let shard = &mut self.lines[shard_of(line)];
         if let Some(info) = shard.get_mut(&line) {
             info.sharers.remove(core);
@@ -268,9 +359,7 @@ impl DirectoryState {
             }
             if info.sharers.is_empty() && info.owner.is_none() && !info.resident {
                 shard.remove(&line);
-                let b = &mut self.buckets[bucket];
-                let pos = b.iter().position(|&l| l == line).expect("indexed line");
-                b.swap_remove(pos);
+                self.blocks.remove(line);
             }
         }
     }
@@ -286,7 +375,8 @@ impl DirectoryState {
     }
 
     /// Iterates over all tracked lines.
-    pub fn tracked_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+    #[cfg(test)]
+    fn tracked_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.lines.iter().flat_map(|s| s.keys().copied())
     }
 }
@@ -300,10 +390,39 @@ impl Default for DirectoryState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_sigs::SignatureConfig;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn sig_of(lines: &[u64]) -> Signature {
         Signature::from_lines(SignatureConfig::paper_default(), lines.iter().copied())
+    }
+
+    /// Checks the block index against the line map: every tracked line
+    /// sits in exactly one block, under its group and with its keys, and
+    /// no block is empty.
+    fn assert_index_consistent(d: &DirectoryState) {
+        let ix = &d.blocks;
+        let mut seen = BTreeSet::new();
+        for (g, group) in ix.groups.iter().enumerate() {
+            assert_eq!(group.len() % ix.stride, 0);
+            for r in group.chunks_exact(ix.stride) {
+                let base = r[0] as u64 | (r[1] as u64) << 32;
+                let mask = r[MASK_AT];
+                assert!(
+                    mask != 0 && mask <= 0xffff,
+                    "block {base:#x} mask {mask:#x}"
+                );
+                assert_eq!(ix.group_of(base), g, "block {base:#x} in the wrong group");
+                assert!(r[KEYS_AT..].iter().copied().eq(block_keys(ix.cfg, base)));
+                for j in 0..BLOCK_LINES {
+                    if mask >> j & 1 == 1 {
+                        let line = LineAddr(base + j);
+                        assert!(d.lookup(line).is_some(), "{line:?} indexed, not tracked");
+                        assert!(seen.insert(line), "{line:?} in two blocks");
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.len(), d.len(), "tracked lines missing from the index");
     }
 
     #[test]
@@ -332,7 +451,8 @@ mod tests {
     #[test]
     fn sharers_matching_includes_dirty_owner() {
         let mut d = DirectoryState::new();
-        d.record_commit_write(LineAddr(5), CoreId(7));
+        d.record_read(LineAddr(5), CoreId(1));
+        d.apply_commit(&sig_of(&[5]), CoreId(7));
         let s = d.sharers_matching(&sig_of(&[5]), CoreId(0));
         assert!(s.contains(CoreId(7)));
     }
@@ -346,6 +466,7 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(d.owner_of(LineAddr(20)), Some(CoreId(9)));
         assert_eq!(d.sharers_of(LineAddr(20)), CoreSet::single(CoreId(9)));
+        assert_eq!(d.expansion_counts(), (1, 1));
     }
 
     #[test]
@@ -368,8 +489,8 @@ mod tests {
         d.record_read(LineAddr(1), CoreId(0));
         d.drop_sharer(LineAddr(1), CoreId(0));
         assert!(d.is_empty());
-        // The inverted index is garbage-collected with the line.
-        assert!(d.buckets.iter().all(|b| b.is_empty()));
+        // The block index is garbage-collected with the line.
+        assert!(d.blocks.groups.iter().all(|g| g.is_empty()));
         // Dropping an untracked line is a no-op.
         d.drop_sharer(LineAddr(2), CoreId(0));
     }
@@ -377,7 +498,8 @@ mod tests {
     #[test]
     fn drop_owner_clears_ownership() {
         let mut d = DirectoryState::new();
-        d.record_commit_write(LineAddr(8), CoreId(3));
+        d.record_read(LineAddr(8), CoreId(3));
+        d.apply_commit(&sig_of(&[8]), CoreId(3));
         d.record_read(LineAddr(8), CoreId(4));
         d.drop_sharer(LineAddr(8), CoreId(3));
         assert_eq!(d.owner_of(LineAddr(8)), None);
@@ -385,24 +507,14 @@ mod tests {
     }
 
     #[test]
-    fn tracked_lines_iterates_all() {
-        let mut d = DirectoryState::new();
-        d.record_read(LineAddr(1), CoreId(0));
-        d.record_read(LineAddr(9), CoreId(0));
-        let mut v: Vec<_> = d.tracked_lines().collect();
-        v.sort();
-        assert_eq!(v, vec![LineAddr(1), LineAddr(9)]);
-        assert_eq!(d.len(), 2);
-    }
-
-    #[test]
     fn indexed_expansion_matches_full_scan() {
-        // The inverted bank-0 index must produce exactly the same
-        // expansion as a brute-force scan over every tracked line.
+        // The block index must produce exactly the same expansion as a
+        // brute-force scan over every tracked line.
         let mut d = DirectoryState::new();
         for l in 0..2000u64 {
             d.record_read(LineAddr(l * 3 + 1), CoreId((l % 7) as u16));
         }
+        assert_index_consistent(&d);
         let w = sig_of(&[4, 301, 1501, 99_999]);
         let brute: Vec<LineAddr> = {
             let mut v: Vec<LineAddr> = d.tracked_lines().filter(|l| w.test(l.as_u64())).collect();
@@ -421,14 +533,141 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_geometry_falls_back_to_full_scan() {
+    #[should_panic(expected = "geometry mismatch")]
+    fn mismatched_geometry_panics() {
         let mut d = DirectoryState::new(); // indexed for paper_default
         d.record_read(LineAddr(42), CoreId(2));
         let other = Signature::from_lines(SignatureConfig::new(1024, 4), [42u64]);
-        let s = d.sharers_matching(&other, CoreId(0));
-        assert!(s.contains(CoreId(2)), "fallback scan must still expand");
-        assert_eq!(d.lines_matching(&other), vec![LineAddr(42)]);
-        assert_eq!(d.apply_commit(&other, CoreId(5)), 1);
-        assert_eq!(d.owner_of(LineAddr(42)), Some(CoreId(5)));
+        d.sharers_matching(&other, CoreId(0));
+    }
+
+    /// Geometries of the model test: the paper's, the ablation and golden
+    /// ones, and the extremes (one 64-bit bank, sixty-four banks).
+    const GEOMETRIES: [(u32, u32); 10] = [
+        (2048, 4),
+        (512, 4),
+        (256, 4),
+        (1024, 2),
+        (256, 1),
+        (3072, 6),
+        (1024, 16),
+        (512, 8),
+        (64, 1),
+        (4096, 64),
+    ];
+
+    /// A line from one of three dense 256-line regions (one straddling a
+    /// 4096-line boundary, one above 2^32) or a scattered line.
+    fn pick(sel: u64) -> LineAddr {
+        const REGIONS: [u64; 3] = [0x40_0000, 0x80_0f80, 0x1_2345_6700];
+        match sel % 4 {
+            3 => LineAddr(sel >> 2),
+            r => LineAddr(REGIONS[r as usize] + (sel >> 2) % 256),
+        }
+    }
+
+    /// Reference record: sharers, owner, resident.
+    type Model = BTreeMap<LineAddr, (BTreeSet<u16>, Option<u16>, bool)>;
+
+    fn model_drop(m: &mut Model, line: LineAddr, core: u16) {
+        if let Some((sharers, owner, resident)) = m.get_mut(&line) {
+            sharers.remove(&core);
+            if *owner == Some(core) {
+                *owner = None;
+            }
+            if sharers.is_empty() && owner.is_none() && !*resident {
+                m.remove(&line);
+            }
+        }
+    }
+
+    fn assert_matches_model(d: &DirectoryState, m: &Model) {
+        assert_eq!(d.len(), m.len());
+        for (&line, (sharers, owner, resident)) in m {
+            let want: CoreSet = sharers.iter().map(|&c| CoreId(c)).collect();
+            assert_eq!(d.sharers_of(line), want, "{line:?}");
+            assert_eq!(d.owner_of(line), owner.map(CoreId), "{line:?}");
+            let res = *resident || !sharers.is_empty() || owner.is_some();
+            assert_eq!(d.is_resident(line), res, "{line:?}");
+        }
+        assert_index_consistent(d);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Random record/mark/drop/commit sequences against a
+            /// `BTreeMap` model expanded by brute-force `Signature::test`:
+            /// every expansion, commit count and per-line state agrees,
+            /// and the block index stays exact.
+            #[test]
+            fn prop_matches_brute_force_model(
+                geometry in 0usize..GEOMETRIES.len(),
+                ops in proptest::collection::vec((0u8..9, any::<u64>(), 0u16..70), 1..250),
+            ) {
+                let (bits, banks) = GEOMETRIES[geometry];
+                let cfg = SignatureConfig::new(bits, banks);
+                let mut d = DirectoryState::with_signature_config(cfg);
+                let mut m = Model::new();
+                for (op, sel, core) in ops {
+                    let line = pick(sel);
+                    match op {
+                        0..=2 => {
+                            d.record_read(line, CoreId(core));
+                            m.entry(line).or_default().0.insert(core);
+                        }
+                        3 => {
+                            d.mark_resident(line);
+                            m.entry(line).or_default().2 = true;
+                        }
+                        4..=5 => {
+                            // Mostly lines that are tracked.
+                            let line = if op == 4 {
+                                m.keys().nth(sel as usize % m.len().max(1)).copied().unwrap_or(line)
+                            } else {
+                                line
+                            };
+                            d.drop_sharer(line, CoreId(core));
+                            model_drop(&mut m, line, core);
+                        }
+                        _ => {
+                            // A W signature over a few lines near the
+                            // tracked ones (and, by aliasing, others).
+                            let n = 1 + sel % 24;
+                            let w = Signature::from_lines(
+                                cfg,
+                                (0..n).map(|k| pick(sel.rotate_left(k as u32 * 7) ^ k).as_u64()),
+                            );
+                            let hits: Vec<LineAddr> =
+                                m.keys().copied().filter(|l| w.test(l.as_u64())).collect();
+                            prop_assert_eq!(d.lines_matching(&w), hits.clone());
+                            let mut want = CoreSet::empty();
+                            for l in &hits {
+                                let (sharers, owner, _) = &m[l];
+                                for &c in sharers.iter().chain(owner.iter()) {
+                                    want.insert(CoreId(c));
+                                }
+                            }
+                            want.remove(CoreId(core));
+                            prop_assert_eq!(d.sharers_matching(&w, CoreId(core)), want);
+                            if op == 8 {
+                                prop_assert_eq!(d.apply_commit(&w, CoreId(core)) as usize, hits.len());
+                                for l in &hits {
+                                    let e = m.get_mut(l).expect("hit is tracked");
+                                    e.0 = BTreeSet::from([core]);
+                                    e.1 = Some(core);
+                                }
+                                assert_matches_model(&d, &m);
+                            }
+                        }
+                    }
+                }
+                assert_matches_model(&d, &m);
+            }
+        }
     }
 }

@@ -41,7 +41,7 @@ mod page;
 
 pub use addr::{Addr, LineAddr, PageAddr, LINE_BYTES, PAGE_BYTES};
 pub use cache::{CacheConfig, SetAssocCache};
-pub use dirstate::{DirectoryState, LineDirInfo};
+pub use dirstate::DirectoryState;
 pub use hierarchy::{CacheHierarchy, CacheHierarchyConfig, HitLevel};
 pub use ids::{CoreId, CoreSet, DirId, DirSet, MaskIter, TileSet, WideMask};
 pub use mshr::{MshrFile, MshrOutcome};

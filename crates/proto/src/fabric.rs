@@ -315,11 +315,7 @@ impl<M: Clone + std::fmt::Debug> Fabric<M> {
                     // Also drop the sharer from every directory (cache
                     // invalidation effect), conservatively at all dirs.
                     for d in &mut self.view.dirstate {
-                        let lines: Vec<LineAddr> = d
-                            .tracked_lines()
-                            .filter(|l| wsig.test(l.as_u64()))
-                            .collect();
-                        for l in lines {
+                        for l in d.lines_matching(&wsig) {
                             d.drop_sharer(l, to);
                         }
                     }

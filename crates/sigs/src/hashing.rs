@@ -17,6 +17,67 @@
 //! discriminate regions); the all-banks-must-overlap intersection rule
 //! then filters false positives from both ends.
 
+use crate::config::SignatureConfig;
+
+/// Lines in an aligned block of the block decode ([`block_keys`]).
+pub const BLOCK_LINES: u64 = 16;
+
+/// Bit of `line` at which bank `bank`'s index window starts. Wraps for
+/// configurations with more than eight banks.
+#[inline]
+fn window_shift(bank: u32) -> u32 {
+    (4 * bank) % 32
+}
+
+/// Whether bank `bank` indexes at line granularity: its window starts at
+/// bit 0 (banks 0, 8, 16, …).
+///
+/// Every bank is at least 64 bits wide, so within an aligned
+/// [`BLOCK_LINES`]-line block starting at `base`:
+///
+/// * a line-granular bank maps line `base + j` to
+///   `bank_hash(base, bank, bits) ^ j` — the 16 lines cover one aligned
+///   16-bit group of the bank, permuted by the low four bits of the key;
+/// * every other bank maps all 16 lines to `bank_hash(base, bank, bits)`,
+///   because its window starts at bit 4 or above and the fold reads only
+///   bits above the window.
+///
+/// [`Signature::block_matches`](crate::Signature::block_matches) decodes
+/// a whole block from these per-bank keys without hashing.
+#[inline]
+pub fn is_line_granular(bank: u32) -> bool {
+    window_shift(bank) == 0
+}
+
+/// The per-bank keys of the aligned block starting at `base`:
+/// `bank_hash(base, k, bits)` for every bank `k`, in bank order.
+///
+/// # Panics
+///
+/// Panics if `base` is not a multiple of [`BLOCK_LINES`].
+///
+/// # Examples
+///
+/// ```
+/// use sb_sigs::{bank_hash, block_keys, SignatureConfig};
+///
+/// let cfg = SignatureConfig::paper_default();
+/// let keys: Vec<u32> = block_keys(cfg, 4096).collect();
+/// assert_eq!(keys.len(), 4);
+/// // Bank 0 is line-granular: line 4096 + 5 sits at key ^ 5.
+/// assert_eq!(bank_hash(4096 + 5, 0, 512), keys[0] ^ 5);
+/// // Bank 1 is not: the whole block shares one bit.
+/// assert_eq!(bank_hash(4096 + 5, 1, 512), keys[1]);
+/// ```
+pub fn block_keys(cfg: SignatureConfig, base: u64) -> impl Iterator<Item = u32> {
+    assert!(
+        base.is_multiple_of(BLOCK_LINES),
+        "block base {base} is not aligned"
+    );
+    let bits = cfg.bits_per_bank();
+    (0..cfg.banks()).map(move |k| bank_hash(base, k, bits))
+}
+
 /// Bit index in `[0, bank_bits)` for `line` in bank `bank`.
 ///
 /// `bank_bits` must be a power of two (enforced by
@@ -40,8 +101,8 @@ pub fn bank_hash(line: u64, bank: u32, bank_bits: u32) -> u32 {
     debug_assert!(bank_bits.is_power_of_two());
     let index_bits = bank_bits.trailing_zeros();
     // Window start: bank 0 is finest (line granularity), higher banks
-    // coarser. Wrap for exotic configurations with many banks.
-    let shift = (4 * bank) % 32;
+    // coarser.
+    let shift = window_shift(bank);
     let window = (line >> shift) & (bank_bits as u64 - 1);
     // Fold the bits above the window through a multiplicative mix so that
     // distant regions land on uncorrelated indices. Within a run shorter

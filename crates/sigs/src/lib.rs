@@ -51,5 +51,5 @@ mod signature;
 
 pub use config::SignatureConfig;
 pub use handle::SigHandle;
-pub use hashing::bank_hash;
+pub use hashing::{bank_hash, block_keys, is_line_granular, BLOCK_LINES};
 pub use signature::Signature;

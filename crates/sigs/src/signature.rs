@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::config::SignatureConfig;
-use crate::hashing::bank_hash;
+use crate::hashing::{bank_hash, is_line_granular};
 
 /// A hardware address signature: a banked Bloom encoding of a set of
 /// cache-line addresses.
@@ -149,8 +149,8 @@ impl Signature {
 
     /// Iterates over the set bit indices of bank `bank`, ascending.
     ///
-    /// This exposes one bank's raw bit vector so a directory can keep an
-    /// inverted index "bank-`k` bit → tracked lines" and expand a
+    /// This exposes one bank's raw bit vector so a cache or directory can
+    /// keep an inverted index "bank-`k` bit → tracked lines" and expand a
     /// signature by visiting only the buckets of set bits instead of
     /// scanning every tracked line: a line can only pass [`Signature::test`]
     /// if its bank-`k` bit is set.
@@ -191,6 +191,59 @@ impl Signature {
             })
     }
 
+    /// Raw bit `index` of bank `bank`.
+    #[inline]
+    fn bit(&self, bank: u32, index: u32) -> bool {
+        let word = bank as usize * self.cfg.words_per_bank() + (index / 64) as usize;
+        self.words[word] & (1u64 << (index % 64)) != 0
+    }
+
+    /// Block decode: the subset of `candidates` that passes
+    /// [`Signature::test`], where bit `j` of `candidates` stands for line
+    /// `base + j` of an aligned block and `keys` are that block's
+    /// [`block_keys`](crate::block_keys). Needs no hashing: each other
+    /// bank is one bit test, and each line-granular bank contributes the
+    /// block's 16-bit group of the bank, permuted by the key's low bits
+    /// (see [`is_line_granular`](crate::is_line_granular)).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sb_sigs::{block_keys, Signature, SignatureConfig};
+    ///
+    /// let cfg = SignatureConfig::paper_default();
+    /// let w = Signature::from_lines(cfg, [64 + 3, 64 + 9]);
+    /// let keys: Vec<u32> = block_keys(cfg, 64).collect();
+    /// let m = w.block_matches(&keys, 0xffff);
+    /// assert_eq!(m & (1 << 3 | 1 << 9), 1 << 3 | 1 << 9);
+    /// for j in 0..16 {
+    ///     assert_eq!(m >> j & 1 == 1, w.test(64 + j));
+    /// }
+    /// ```
+    #[inline]
+    pub fn block_matches(&self, keys: &[u32], candidates: u16) -> u16 {
+        debug_assert_eq!(keys.len(), self.cfg.banks() as usize);
+        // One bit test per coarse bank rejects most blocks outright.
+        for (bank, &key) in keys.iter().enumerate() {
+            if !is_line_granular(bank as u32) && !self.bit(bank as u32, key) {
+                return 0;
+            }
+        }
+        let wpb = self.cfg.words_per_bank();
+        let mut m = candidates;
+        for (bank, &key) in keys.iter().enumerate() {
+            if !is_line_granular(bank as u32) {
+                continue;
+            }
+            let word = self.words[bank * wpb + (key / 64) as usize];
+            m &= xor_permute((word >> ((key % 64) & !15)) as u16, key & 15);
+            if m == 0 {
+                break;
+            }
+        }
+        m
+    }
+
     /// Number of `insert` calls performed (duplicates counted).
     pub fn inserted_count(&self) -> u32 {
         self.inserted
@@ -225,6 +278,25 @@ impl Signature {
     pub fn wire_bits(&self) -> u32 {
         self.cfg.total_bits()
     }
+}
+
+/// `w` with its bit positions XOR-permuted by `x < 16`: bit `j` of the
+/// result is bit `j ^ x` of `w`.
+#[inline]
+fn xor_permute(mut w: u16, x: u32) -> u16 {
+    if x & 1 != 0 {
+        w = (w & 0x5555) << 1 | (w >> 1) & 0x5555;
+    }
+    if x & 2 != 0 {
+        w = (w & 0x3333) << 2 | (w >> 2) & 0x3333;
+    }
+    if x & 4 != 0 {
+        w = (w & 0x0f0f) << 4 | (w >> 4) & 0x0f0f;
+    }
+    if x & 8 != 0 {
+        w = w.rotate_left(8);
+    }
+    w
 }
 
 impl fmt::Debug for Signature {
@@ -471,6 +543,49 @@ mod proptests {
             u.union_with(&sb);
             for &l in a.iter().chain(b.iter()) {
                 prop_assert!(u.test(l));
+            }
+        }
+
+        /// The block identity `block_matches` relies on holds bank by
+        /// bank for every geometry (the ablation and golden ones, one
+        /// 64-bit bank, sixty-four banks), and `block_matches` agrees
+        /// with `test` on all 16 lines of the block.
+        #[test]
+        fn prop_block_decode_is_exact(
+            base in any::<u64>(),
+            offsets in proptest::collection::vec(0u64..48, 0..24),
+            scattered in proptest::collection::vec(any::<u64>(), 0..24),
+            candidates in any::<u16>(),
+        ) {
+            use crate::hashing::{block_keys, is_line_granular, BLOCK_LINES};
+            let base = base.min(u64::MAX - 2 * BLOCK_LINES) & !(BLOCK_LINES - 1);
+            for (bits, banks) in [
+                (2048, 4), (512, 4), (1024, 4), (4096, 4), (256, 4), (1024, 2),
+                (256, 1), (3072, 6), (512, 8), (1024, 16), (64, 1), (4096, 64),
+            ] {
+                let cfg = SignatureConfig::new(bits, banks);
+                let keys: Vec<u32> = block_keys(cfg, base).collect();
+                for (bank, &key) in keys.iter().enumerate() {
+                    let bank = bank as u32;
+                    for j in 0..BLOCK_LINES {
+                        let want = if is_line_granular(bank) { key ^ j as u32 } else { key };
+                        prop_assert_eq!(bank_hash(base + j, bank, cfg.bits_per_bank()), want);
+                    }
+                }
+                // W holds lines of the block, its neighbours, and
+                // scattered lines that alias into it.
+                let w = Signature::from_lines(
+                    cfg,
+                    offsets
+                        .iter()
+                        .map(|&o| (base + o).wrapping_sub(BLOCK_LINES))
+                        .chain(scattered.iter().copied()),
+                );
+                let m = w.block_matches(&keys, candidates);
+                for j in 0..BLOCK_LINES {
+                    let want = candidates >> j & 1 == 1 && w.test(base + j);
+                    prop_assert_eq!(m >> j & 1 == 1, want, "{}/{} line {}", bits, banks, j);
+                }
             }
         }
 

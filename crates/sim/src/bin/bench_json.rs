@@ -46,10 +46,11 @@
 //!
 //! `--profile` turns on the executor's host self-profiling
 //! (`cfg.obs.profile`) and adds per-cell `prof_*` fields: superphase
-//! counts, hub utilization, calendar-queue tier push counts, and peak
-//! RSS. Off by default so the gated measurement stays exactly the
-//! baseline configuration (profiling costs two clock reads per
-//! superphase — small, but a gate should compare like with like).
+//! counts, hub utilization, calendar-queue tier push counts, directory
+//! expansions and the lines they matched, and peak RSS. Off by default
+//! so the gated measurement stays exactly the baseline configuration
+//! (profiling costs two clock reads per superphase — small, but a gate
+//! should compare like with like).
 
 use sb_net::Topology;
 use sb_obs::json::JsonValue;
@@ -63,6 +64,15 @@ struct Entry {
     cores: u16,
     fabric: String,
     result: sb_sim::RunResult,
+}
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: bench_json [--out PATH] [--insns N] [--repeats R] [--cores LIST] \
+         [--fabrics LIST] [--protocols LIST] [--jobs N] [--compare BASELINE.json] \
+         [--max-regress PCT] [--profile] [--max-rss-mb MB]"
+    );
+    std::process::exit(2);
 }
 
 fn main() {
@@ -84,36 +94,39 @@ fn main() {
             "--profile" => profile = true,
             "--out" => {
                 i += 1;
-                out_path = args.get(i).cloned().expect("--out needs a path");
+                out_path = args.get(i).cloned().unwrap_or_else(|| usage());
             }
             "--insns" => {
                 i += 1;
-                insns = args.get(i).and_then(|v| v.parse().ok()).expect("--insns N");
+                insns = args
+                    .get(i)
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage());
             }
             "--repeats" => {
                 i += 1;
                 repeats = args
                     .get(i)
                     .and_then(|v| v.parse().ok())
-                    .expect("--repeats R");
+                    .unwrap_or_else(|| usage());
             }
             "--compare" => {
                 i += 1;
-                compare = Some(args.get(i).cloned().expect("--compare needs a path"));
+                compare = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
             "--max-regress" => {
                 i += 1;
                 max_regress = args
                     .get(i)
                     .and_then(|v| v.parse().ok())
-                    .expect("--max-regress PCT");
+                    .unwrap_or_else(|| usage());
             }
             "--jobs" => {
                 i += 1;
                 jobs = args
                     .get(i)
                     .and_then(|v| sb_sim::parallel::parse_jobs(v))
-                    .expect("--jobs N|auto");
+                    .unwrap_or_else(|| usage());
             }
             "--cores" => {
                 i += 1;
@@ -124,20 +137,17 @@ fn main() {
                             .map(|c| c.trim().parse::<u16>().ok().filter(|&c| c >= 1))
                             .collect()
                     })
-                    .expect("--cores N[,N...]");
+                    .unwrap_or_else(|| usage());
             }
             "--fabrics" => {
                 i += 1;
                 fabrics = args
                     .get(i)
                     .map(|v| v.split(',').map(|f| f.trim().to_string()).collect())
-                    .expect("--fabrics NAME[,NAME...]");
-                for f in &fabrics {
-                    assert!(
-                        Topology::by_name(f, 64).is_some(),
-                        "unknown fabric {f:?}; expected torus, cmesh, or xtorus"
-                    );
-                }
+                    .filter(|fs: &Vec<String>| {
+                        fs.iter().all(|f| Topology::by_name(f, 64).is_some())
+                    })
+                    .unwrap_or_else(|| usage());
             }
             "--protocols" => {
                 i += 1;
@@ -148,24 +158,19 @@ fn main() {
                             .map(|s| s.trim().parse::<ProtocolKind>().ok())
                             .collect()
                     })
-                    .expect("--protocols NAME[,NAME...]");
+                    .unwrap_or_else(|| usage());
             }
             "--max-rss-mb" => {
                 i += 1;
                 max_rss_mb = Some(
                     args.get(i)
                         .and_then(|v| v.parse().ok())
-                        .expect("--max-rss-mb MB"),
+                        .unwrap_or_else(|| usage()),
                 );
             }
             other => {
-                eprintln!(
-                    "unknown argument {other:?}\n\
-                     usage: bench_json [--out PATH] [--insns N] [--repeats R] [--cores LIST] \
-                     [--fabrics LIST] [--protocols LIST] [--jobs N] [--compare BASELINE.json] \
-                     [--max-regress PCT] [--profile] [--max-rss-mb MB]"
-                );
-                std::process::exit(2);
+                eprintln!("unknown argument {other:?}");
+                usage();
             }
         }
         i += 1;
@@ -282,7 +287,8 @@ fn main() {
                     "\"superphases\": {}, \"unit_visits\": {}, \"hub_busy_phases\": {}, ",
                     "\"hub_utilization\": {:.6}, ",
                     "\"queue_ring_pushes\": {}, \"queue_far_pushes\": {}, ",
-                    "\"queue_past_pushes\": {}, \"peak_rss_bytes\": {}}}{}\n"
+                    "\"queue_past_pushes\": {}, \"dir_expansions\": {}, ",
+                    "\"dir_lines_matched\": {}, \"peak_rss_bytes\": {}}}{}\n"
                 ),
                 e.protocol,
                 e.cores,
@@ -294,6 +300,8 @@ fn main() {
                 c("prof.queue.ring_pushes"),
                 c("prof.queue.far_pushes"),
                 c("prof.queue.past_pushes"),
+                c("prof.dir_expansions"),
+                c("prof.dir_lines_matched"),
                 m.gauge("prof.peak_rss_bytes").unwrap_or(0.0) as u64,
                 if i + 1 == entries.len() { "" } else { "," },
             ));

@@ -9,8 +9,9 @@
 //! observability log — profiling alone allocates nothing per event) and
 //! prints where the *host* time went: core-unit (plane A) busy time and
 //! unit visits (units actually run, per dispatched event), hub-plane
-//! utilization, the calendar queue's tier occupancy/overflow
-//! counters, and peak RSS.
+//! utilization, directory signature expansions and the lines they
+//! matched, the calendar queue's tier occupancy/overflow counters, and
+//! peak RSS.
 //!
 //! Profiling never touches simulated state: wall cycles and commits are
 //! bit-identical with profiling on or off (the golden-trace battery
@@ -48,6 +49,7 @@ fn main() {
                 cores = args
                     .get(i)
                     .and_then(|v| v.parse().ok())
+                    .filter(|&c: &u16| c >= 1)
                     .unwrap_or_else(|| usage());
             }
             "--app" => {
@@ -125,6 +127,11 @@ fn main() {
         c("prof.hub_phases"),
         g("prof.hub_utilization"),
         g("prof.hub_busy_secs")
+    );
+    println!(
+        "directory expansions: {} (sharers_matching + apply_commit), {} lines matched",
+        c("prof.dir_expansions"),
+        c("prof.dir_lines_matched")
     );
     println!(
         "calendar queue: {} ring pushes (hwm {}), {} far (hwm {}), {} past (hwm {})",

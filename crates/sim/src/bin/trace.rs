@@ -76,6 +76,7 @@ fn main() {
                 cores = args
                     .get(i)
                     .and_then(|v| v.parse().ok())
+                    .filter(|&c: &u16| c >= 1)
                     .unwrap_or_else(|| usage());
             }
             "--app" => {

@@ -2388,6 +2388,13 @@ impl<P: CommitProtocol> Machine<P> {
             reg.add_counter("prof.hub_phases", p.b_phases);
             reg.add_counter("prof.hub_busy_phases", p.b_busy_phases);
             reg.add_counter("prof.unit_visits", p.unit_visits);
+            let (expansions, matched) = self
+                .dirs
+                .iter()
+                .map(DirectoryState::expansion_counts)
+                .fold((0, 0), |(e, m), (de, dm)| (e + de, m + dm));
+            reg.add_counter("prof.dir_expansions", expansions);
+            reg.add_counter("prof.dir_lines_matched", matched);
             reg.set_gauge(
                 "prof.hub_utilization",
                 if p.b_phases == 0 {

@@ -1,0 +1,69 @@
+//! Bad flag values are usage errors: every binary exits with status 2
+//! (after printing usage) instead of panicking with status 101.
+
+use std::process::Command;
+
+/// Runs `bin` with `args` and asserts it exits with the usage status.
+fn assert_usage_exit(bin: &str, args: &[&str]) {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{bin} {args:?}: expected a usage error, got {:?}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("usage"),
+        "{bin} {args:?} printed no usage"
+    );
+}
+
+#[test]
+fn zero_cores_is_a_usage_error() {
+    for bin in [
+        env!("CARGO_BIN_EXE_profile"),
+        env!("CARGO_BIN_EXE_trace"),
+        env!("CARGO_BIN_EXE_analyze"),
+        env!("CARGO_BIN_EXE_bench_json"),
+    ] {
+        assert_usage_exit(bin, &["--cores", "0"]);
+    }
+}
+
+#[test]
+fn bench_json_rejects_malformed_values() {
+    let bin = env!("CARGO_BIN_EXE_bench_json");
+    for args in [
+        &["--cores", "x"][..],
+        &["--cores", "8,0"],
+        &["--insns", "x"],
+        &["--repeats", "x"],
+        &["--max-rss-mb", "x"],
+        &["--max-regress", "x"],
+        &["--fabrics", "bogus"],
+        &["--fabrics", "torus,bogus"],
+        &["--protocols", "bogus"],
+        &["--jobs", "x"],
+        &["--out"],
+        &["--compare"],
+    ] {
+        assert_usage_exit(bin, args);
+    }
+}
+
+#[test]
+fn missing_values_are_usage_errors() {
+    for bin in [
+        env!("CARGO_BIN_EXE_profile"),
+        env!("CARGO_BIN_EXE_trace"),
+        env!("CARGO_BIN_EXE_analyze"),
+    ] {
+        for args in [&["--cores"][..], &["--cores", "x"], &["--insns", "x"]] {
+            assert_usage_exit(bin, args);
+        }
+    }
+}

@@ -157,6 +157,66 @@ fn wide_machine_matches_its_golden_rows() {
     }
 }
 
+/// Observed 16-core Radix runs (4k insns/thread, seed `0xfeed`, trace and
+/// obs on) under non-default signature geometries, where directory
+/// expansion sees other bank counts and widths: one bank, two, six, and
+/// sixteen (banks 0 and 8 both index at line granularity). Squash counts
+/// swing with aliasing, so an inexact expansion moves them. Columns:
+/// protocol, total bits, banks, commits, squashes, wall cycles,
+/// `RunTrace::fingerprint`.
+#[rustfmt::skip]
+const GOLDEN_GEOMETRIES: [(ProtocolKind, u32, u32, u64, u64, u64, u64); 14] = [
+    (ProtocolKind::ScalableBulk, 512, 4, 55, 4, 12906, 0x79ebc7ce9e3193c8),
+    (ProtocolKind::ScalableBulk, 4096, 4, 55, 0, 9685, 0xdcc2fb0425df3e38),
+    (ProtocolKind::ScalableBulk, 256, 4, 55, 34, 20175, 0x653097b3b5b85d37),
+    (ProtocolKind::ScalableBulk, 1024, 2, 55, 28, 13617, 0x4e56b61b147b40ae),
+    (ProtocolKind::ScalableBulk, 256, 1, 55, 576, 78118, 0x4c7eb4f3407c701e),
+    (ProtocolKind::ScalableBulk, 3072, 6, 55, 0, 9685, 0x2a63c08ad9b682fc),
+    (ProtocolKind::ScalableBulk, 1024, 16, 55, 0, 11233, 0x8762a8068fd86cda),
+    (ProtocolKind::Tcc, 512, 4, 55, 5, 14130, 0x7894664d7fdb89c9),
+    (ProtocolKind::Tcc, 4096, 4, 55, 0, 11982, 0xbdedd3029303bf06),
+    (ProtocolKind::Tcc, 256, 4, 55, 87, 18284, 0xa67c279bbefeb09a),
+    (ProtocolKind::Tcc, 1024, 2, 55, 42, 16126, 0x827e8574dbc6b1b0),
+    (ProtocolKind::Tcc, 256, 1, 55, 1768, 88617, 0x3b75581859b70773),
+    (ProtocolKind::Tcc, 3072, 6, 55, 0, 11982, 0xbdedd3029303bf06),
+    (ProtocolKind::Tcc, 1024, 16, 55, 0, 11982, 0x38da65ae473d5697),
+];
+
+#[test]
+fn signature_geometries_match_their_golden_rows() {
+    let print = std::env::var_os("SB_GOLDEN_PRINT").is_some();
+    for (proto, bits, banks, commits, squashes, wall, trace_fp) in GOLDEN_GEOMETRIES {
+        let mut cfg = SimConfig::paper_default(16, AppProfile::radix(), proto);
+        cfg.insns_per_thread = 4_000;
+        cfg.seed = 0xfeed;
+        cfg.trace = true;
+        cfg.obs = sb_sim::ObsConfig::on();
+        cfg.sig = sb_sigs::SignatureConfig::new(bits, banks);
+        let r = run_simulation(&cfg);
+        let got = (
+            r.commits,
+            r.squashes(),
+            r.wall_cycles,
+            r.trace
+                .as_ref()
+                .expect("golden rows enable tracing")
+                .fingerprint(),
+        );
+        if print {
+            println!(
+                "(ProtocolKind::{proto:?}, {bits}, {banks}, {}, {}, {}, {:#x}),",
+                got.0, got.1, got.2, got.3
+            );
+            continue;
+        }
+        assert_eq!(
+            got,
+            (commits, squashes, wall, trace_fp),
+            "{proto} {bits}/{banks} drifted from its golden row"
+        );
+    }
+}
+
 #[test]
 fn double_export_is_byte_identical() {
     let r = run_simulation(&observed_cfg());
