@@ -1,6 +1,7 @@
 //! Microbenchmarks of the substrates: signature operations, cache
-//! accesses, directory signature expansion, torus routing and workload
-//! generation — the inner loops the simulator's throughput depends on.
+//! accesses and bulk invalidation, directory signature expansion, torus
+//! routing and workload generation — the inner loops the simulator's
+//! throughput depends on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sb_engine::Cycle;
@@ -73,6 +74,59 @@ fn caches(c: &mut Criterion) {
             hiers[core as usize].access(LineAddr(base(core) + line))
         })
     });
+    // BulkSC's broadcast: the arbiter sends every committing chunk's W
+    // to all other cores, and almost every such expansion matches
+    // nothing. 64 hierarchies are warmed as `Machine::new` warms them (¾
+    // of L2 from the thread's private region, then four warm-up chunks'
+    // lines); one iteration expands one FFT chunk's W at the other 63.
+    c.bench_function("hierarchy_bulk_invalidate", |b| {
+        const CORES: usize = 64;
+        let cfg = CacheHierarchyConfig::paper_default();
+        let sig = SignatureConfig::paper_default();
+        let mut gen = WorkloadGen::new(AppProfile::fft(), CORES, 0x5ca1_ab1e);
+        let fill = cfg.l2.capacity_lines() * 3 / 4;
+        let mut hiers: Vec<CacheHierarchy> = (0..CORES)
+            .map(|core| {
+                let mut h = CacheHierarchy::with_signature_config(cfg, sig);
+                let (base, count) = gen.private_region(core);
+                for l in 0..count.min(fill) {
+                    h.fill(LineAddr(base.as_u64() + l));
+                }
+                for _ in 0..4 {
+                    for a in gen.next_chunk(core).accesses() {
+                        h.fill(a.line);
+                        if a.is_write {
+                            h.mark_written(a.line);
+                        }
+                    }
+                }
+                h
+            })
+            .collect();
+        let commits: Vec<(usize, Signature)> = (0..4 * CORES)
+            .map(|i| {
+                let core = i % CORES;
+                let spec = gen.next_chunk(core);
+                let writes = spec.accesses().iter().filter(|a| a.is_write);
+                (
+                    core,
+                    Signature::from_lines(sig, writes.map(|a| a.line.as_u64())),
+                )
+            })
+            .collect();
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % commits.len();
+            let (committer, w) = &commits[i];
+            let mut matched = 0u32;
+            for (core, h) in hiers.iter_mut().enumerate() {
+                if core != *committer {
+                    matched += h.bulk_invalidate(w);
+                }
+            }
+            matched
+        })
+    });
 }
 
 fn directories(c: &mut Criterion) {
@@ -133,7 +187,7 @@ fn directories(c: &mut Criterion) {
             let mut touched = 0u32;
             for home in homes {
                 let d = &mut dirs[home.idx()];
-                touched += d.sharers_matching(w, *core).len() as u32;
+                touched += d.sharers_matching(w, *core).len();
                 touched += d.apply_commit(w, *core);
             }
             touched

@@ -13,26 +13,38 @@ use sb_proto::ProtocolKind;
 use sb_sim::{run_simulation, SimConfig};
 use sb_workloads::AppProfile;
 
+fn usage() -> ! {
+    eprintln!("usage: calib -- [app] [protocol] [cores] [insns]");
+    std::process::exit(2);
+}
+
+/// Positional argument `i` parsed by `parse`, `default` when absent; a
+/// value that does not parse is a usage error.
+fn arg<T>(args: &[String], i: usize, default: T, parse: impl Fn(&str) -> Option<T>) -> T {
+    args.get(i)
+        .map_or(Some(default), |s| parse(s))
+        .unwrap_or_else(|| usage())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let app = args.get(1).map(|s| s.as_str()).unwrap_or("FFT");
-    let proto: ProtocolKind = args
-        .get(2)
-        .map(|s| s.as_str())
-        .unwrap_or("sb")
-        .parse()
-        .unwrap();
-    let cores: u16 = args.get(3).map(|s| s.parse().unwrap()).unwrap_or(64);
-    let insns: u64 = args.get(4).map(|s| s.parse().unwrap()).unwrap_or(20_000);
+    if args.len() > 5 {
+        usage();
+    }
+    let app = arg(&args, 1, AppProfile::fft(), AppProfile::by_name);
+    let proto: ProtocolKind = arg(&args, 2, ProtocolKind::ScalableBulk, |s| s.parse().ok());
+    let cores: u16 = arg(&args, 3, 64, |s| s.parse().ok().filter(|&c| c >= 1));
+    let insns: u64 = arg(&args, 4, 20_000, |s| s.parse().ok());
     let t0 = std::time::Instant::now();
-    let mut cfg = SimConfig::paper_default(cores, AppProfile::by_name(app).unwrap(), proto);
+    let app_name = app.name;
+    let mut cfg = SimConfig::paper_default(cores, app, proto);
     cfg.insns_per_thread = insns;
     if let Ok(m) = std::env::var("SB_MAX_SQUASH") {
         cfg.sb.max_squashes_before_reservation = m.parse().unwrap();
     }
     let r = run_simulation(&cfg);
     println!(
-        "{app} {proto} cores={cores} wall={} commits={} lat={:.1} dW={:.2} dR={:.2} br={:.2} q={:.2} sq={:.4} nacks={} u%={:.2} c%={:.2} co%={:.3} s%={:.4} msgs={} rr={} [{:?}]",
+        "{app_name} {proto} cores={cores} wall={} commits={} lat={:.1} dW={:.2} dR={:.2} br={:.2} q={:.2} sq={:.4} nacks={} u%={:.2} c%={:.2} co%={:.3} s%={:.4} msgs={} rr={} [{:?}]",
         r.wall_cycles, r.commits, r.latency.mean(),
         r.dirs.mean_write_group(), r.dirs.mean_read_group(),
         r.gauges.bottleneck_ratio(), r.gauges.mean_queue_length(),

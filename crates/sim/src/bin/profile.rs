@@ -134,6 +134,11 @@ fn main() {
         c("prof.dir_lines_matched")
     );
     println!(
+        "core-side expansions: {} (bulk_invalidate), {} lines matched",
+        c("prof.core_expansions"),
+        c("prof.core_lines_matched")
+    );
+    println!(
         "calendar queue: {} ring pushes (hwm {}), {} far (hwm {}), {} past (hwm {})",
         c("prof.queue.ring_pushes"),
         g("prof.queue.ring_hwm") as u64,

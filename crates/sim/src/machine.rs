@@ -2395,6 +2395,13 @@ impl<P: CommitProtocol> Machine<P> {
                 .fold((0, 0), |(e, m), (de, dm)| (e + de, m + dm));
             reg.add_counter("prof.dir_expansions", expansions);
             reg.add_counter("prof.dir_lines_matched", matched);
+            let (expansions, matched) = self
+                .units
+                .iter()
+                .map(|u| u.ctx.hier.expansion_counts())
+                .fold((0, 0), |(e, m), (ue, um)| (e + ue, m + um));
+            reg.add_counter("prof.core_expansions", expansions);
+            reg.add_counter("prof.core_lines_matched", matched);
             reg.set_gauge(
                 "prof.hub_utilization",
                 if p.b_phases == 0 {

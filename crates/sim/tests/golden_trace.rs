@@ -217,6 +217,60 @@ fn signature_geometries_match_their_golden_rows() {
     }
 }
 
+/// Application, insns/thread, bits, banks, commits, squashes, wall
+/// cycles, trace fingerprint.
+type BulkScRow = (&'static str, u64, u32, u32, u64, u64, u64, u64);
+
+/// Observed 64-core BulkSC runs on the torus (seed `0xfeed`, trace and
+/// obs on). The arbiter broadcasts every committing W signature to all
+/// other cores, so these rows pin the caches' bulk-invalidation
+/// expansion; the 256/1 row adds the aliasing that makes broadcasts
+/// match lines the committer never wrote. Columns: application,
+/// insns/thread, total bits, banks, commits, squashes, wall cycles,
+/// `RunTrace::fingerprint`.
+#[rustfmt::skip]
+const GOLDEN_BULKSC: [BulkScRow; 3] = [
+    ("FFT", 3000, 2048, 4, 198, 4, 51232, 0xe49a4450c134ee98),
+    ("Radix", 3000, 2048, 4, 192, 0, 49447, 0x16e0a74aed4acac9),
+    ("FFT", 1500, 256, 1, 131, 3674, 137327, 0x56b6f5743d52df8b),
+];
+
+#[test]
+fn bulksc_broadcasts_match_their_golden_rows() {
+    let print = std::env::var_os("SB_GOLDEN_PRINT").is_some();
+    for (app, insns, bits, banks, commits, squashes, wall, trace_fp) in GOLDEN_BULKSC {
+        let profile = AppProfile::by_name(app).expect("known app");
+        let mut cfg = SimConfig::paper_default(64, profile, ProtocolKind::BulkSc);
+        cfg.insns_per_thread = insns;
+        cfg.seed = 0xfeed;
+        cfg.trace = true;
+        cfg.obs = sb_sim::ObsConfig::on();
+        cfg.sig = sb_sigs::SignatureConfig::new(bits, banks);
+        let r = run_simulation(&cfg);
+        let got = (
+            r.commits,
+            r.squashes(),
+            r.wall_cycles,
+            r.trace
+                .as_ref()
+                .expect("golden rows enable tracing")
+                .fingerprint(),
+        );
+        if print {
+            println!(
+                "({app:?}, {insns}, {bits}, {banks}, {}, {}, {}, {:#x}),",
+                got.0, got.1, got.2, got.3
+            );
+            continue;
+        }
+        assert_eq!(
+            got,
+            (commits, squashes, wall, trace_fp),
+            "BulkSC {app} {insns} insns {bits}/{banks} drifted from its golden row"
+        );
+    }
+}
+
 #[test]
 fn double_export_is_byte_identical() {
     let r = run_simulation(&observed_cfg());
