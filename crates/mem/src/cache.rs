@@ -1,7 +1,5 @@
 //! A set-associative cache model with LRU replacement.
 
-use sb_sigs::{bank_hash, Signature, SignatureConfig};
-
 use crate::addr::{LineAddr, LINE_BYTES};
 
 /// Geometry of one cache level.
@@ -98,11 +96,11 @@ impl Way {
 /// adjacent 16-byte ways and a cache costs one allocation; replacement is
 /// exact LRU (the way with the smallest stamp).
 ///
-/// For bulk invalidation the cache also keeps an inverted bank-0 signature
-/// index over its resident tags (bank-0 bit position → resident lines
-/// hashing to it), so expanding a W signature visits only the buckets of
-/// the signature's set bits instead of the full tag array. See
-/// [`SetAssocCache::push_matching`].
+/// The cache knows nothing about signatures: [`CacheHierarchy`] expands a
+/// W signature through one index over the lines held at either of its
+/// levels.
+///
+/// [`CacheHierarchy`]: crate::CacheHierarchy
 ///
 /// # Examples
 ///
@@ -123,12 +121,6 @@ pub struct SetAssocCache {
     nsets: u64,
     /// Number of non-empty ways.
     resident: usize,
-    /// Geometry of the W signatures the inverted index serves; expansions
-    /// with any other geometry fall back to a full tag scan.
-    sig_cfg: SignatureConfig,
-    /// Inverted index: bank-0 bit position → resident lines hashing to it.
-    /// Every resident line appears in exactly one bucket.
-    buckets: Vec<Vec<LineAddr>>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -136,23 +128,14 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Creates an empty cache indexed for the paper's signature geometry.
+    /// Creates an empty cache.
     pub fn new(cfg: CacheConfig) -> Self {
-        Self::with_signature_config(cfg, SignatureConfig::paper_default())
-    }
-
-    /// Creates an empty cache whose inverted signature index matches
-    /// `sig` — the geometry of the W signatures it will be asked to expand.
-    pub fn with_signature_config(cfg: CacheConfig, sig: SignatureConfig) -> Self {
-        let nsets = cfg.sets();
         SetAssocCache {
             cfg,
             ways: vec![Way::EMPTY; cfg.capacity_lines() as usize],
             assoc: cfg.assoc as usize,
-            nsets,
+            nsets: cfg.sets(),
             resident: 0,
-            sig_cfg: sig,
-            buckets: vec![Vec::new(); sig.bits_per_bank() as usize],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -179,18 +162,6 @@ impl SetAssocCache {
     fn find_mut(&mut self, line: LineAddr) -> Option<&mut Way> {
         let set = self.set_range(line);
         self.ways[set].iter_mut().find(|w| w.holds(line))
-    }
-
-    #[inline]
-    fn bucket_of(&self, line: LineAddr) -> usize {
-        bank_hash(line.as_u64(), 0, self.sig_cfg.bits_per_bank()) as usize
-    }
-
-    fn bucket_remove(&mut self, line: LineAddr) {
-        let bucket = self.bucket_of(line);
-        let b = &mut self.buckets[bucket];
-        let pos = b.iter().position(|&l| l == line).expect("indexed line");
-        b.swap_remove(pos);
     }
 
     /// Looks a line up, updating LRU and (for writes) the dirty bit.
@@ -237,17 +208,13 @@ impl SetAssocCache {
             lru: tick << 1 | dirty as u64,
         };
         let old = std::mem::replace(&mut ways[slot], new);
-        let victim = if old.lru == 0 {
+        if old.lru == 0 {
             self.resident += 1;
             None
         } else {
-            self.bucket_remove(old.line);
             self.evictions += 1;
             Some((old.line, old.dirty()))
-        };
-        let bucket = self.bucket_of(line);
-        self.buckets[bucket].push(line);
-        victim
+        }
     }
 
     /// Removes a line (coherence invalidation). Returns whether it was
@@ -258,7 +225,6 @@ impl SetAssocCache {
         };
         *way = Way::EMPTY;
         self.resident -= 1;
-        self.bucket_remove(line);
         true
     }
 
@@ -276,28 +242,10 @@ impl SetAssocCache {
     }
 
     /// Iterates over all resident line addresses (the tag array) in way
-    /// order, used when expanding a W signature against this cache for
-    /// bulk invalidation.
-    pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+    /// order.
+    #[cfg(test)]
+    pub(crate) fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.ways.iter().filter(|w| w.lru != 0).map(|w| w.line)
-    }
-
-    /// Appends every resident line matching `wsig` to `out` (signature
-    /// expansion against the tag array). Uses the inverted bank-0 index
-    /// when `wsig` has the geometry this cache was built for, and falls
-    /// back to a full tag scan otherwise.
-    pub fn push_matching(&self, wsig: &Signature, out: &mut Vec<LineAddr>) {
-        if wsig.config() == self.sig_cfg {
-            for bit in wsig.bank_set_bits(0) {
-                out.extend(
-                    self.buckets[bit as usize]
-                        .iter()
-                        .filter(|l| wsig.test(l.as_u64())),
-                );
-            }
-        } else {
-            out.extend(self.resident_lines().filter(|l| wsig.test(l.as_u64())));
-        }
     }
 
     /// Number of resident lines.
@@ -413,35 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn push_matching_agrees_with_full_scan() {
-        let mut c = SetAssocCache::new(CacheConfig::paper_l2());
-        for i in 0..500u64 {
-            c.fill(LineAddr(i * 5 + 2), false);
-        }
-        let wsig = sb_sigs::Signature::from_lines(
-            sb_sigs::SignatureConfig::paper_default(),
-            [7u64, 252, 1_000_003],
-        );
-        let mut indexed = Vec::new();
-        c.push_matching(&wsig, &mut indexed);
-        indexed.sort_unstable();
-        let mut brute: Vec<LineAddr> = c
-            .resident_lines()
-            .filter(|l| wsig.test(l.as_u64()))
-            .collect();
-        brute.sort_unstable();
-        assert_eq!(indexed, brute);
-
-        // A mismatched signature geometry falls back to the full scan.
-        let other =
-            sb_sigs::Signature::from_lines(sb_sigs::SignatureConfig::new(1024, 4), [7u64, 252]);
-        let mut fallback = Vec::new();
-        c.push_matching(&other, &mut fallback);
-        assert!(fallback.contains(&LineAddr(7)));
-        assert!(fallback.contains(&LineAddr(252)));
-    }
-
-    #[test]
     fn paper_geometries() {
         assert_eq!(CacheConfig::paper_l1().sets(), 256);
         assert_eq!(CacheConfig::paper_l2().sets(), 2048);
@@ -536,8 +455,7 @@ mod proptests {
     proptest! {
         /// The flat way array behaves exactly like a reference LRU model:
         /// same hits and misses, same `(line, dirty)` victims, same
-        /// counters and resident set; and the inverted signature index
-        /// holds exactly the resident lines, each in its bank-0 bucket.
+        /// counters and resident set.
         #[test]
         fn prop_cache_matches_lru_model(
             assoc_log in 0u8..3,
@@ -567,15 +485,6 @@ mod proptests {
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(c.len(), want.len());
                 prop_assert_eq!(c.is_dirty(line), want.iter().find(|w| w.0 == line).map(|w| w.1));
-                let mut bucketed: Vec<LineAddr> = c.buckets.iter().flatten().copied().collect();
-                bucketed.sort_unstable();
-                let lines: Vec<LineAddr> = want.iter().map(|w| w.0).collect();
-                prop_assert_eq!(bucketed, lines);
-                for (bit, b) in c.buckets.iter().enumerate() {
-                    for l in b {
-                        prop_assert_eq!(c.bucket_of(*l), bit);
-                    }
-                }
             }
         }
     }

@@ -7,25 +7,18 @@
 //! commit succeeds ("the directories in the group start updating their state
 //! based on the W signature", §3.2).
 //!
-//! Signature expansion is the simulator's hottest directory operation:
-//! every commit makes each participating directory match a W signature
+//! Every commit makes each participating directory expand a W signature
 //! against its tracked lines twice (the local `inval_vec`, then the
-//! commit itself). A directory therefore also keeps a *block index*: its
-//! tracked lines grouped into aligned [`BLOCK_LINES`]-line blocks, each
-//! stored once with the mask of its tracked lines and its per-bank
-//! signature keys ([`sb_sigs::block_keys`]). Blocks are grouped by their
-//! key in one bank. An expansion visits only the groups of the W
-//! signature's set bits in that bank and decodes each block there with
-//! [`Signature::block_matches`] — a bit test per bank, no hashing — so it
-//! yields exactly the lines [`Signature::test`] accepts.
+//! commit itself), through the block index the private caches use too.
 
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
 
 use sb_engine::FxHashMap;
-use sb_sigs::{bank_hash, block_keys, is_line_granular, Signature, SignatureConfig, BLOCK_LINES};
+use sb_sigs::{Signature, SignatureConfig};
 
 use crate::addr::LineAddr;
+use crate::blockindex::BlockIndex;
 use crate::ids::{CoreId, CoreSet};
 
 /// Per-line directory information.
@@ -80,133 +73,6 @@ const LINE_SHARDS: usize = 16;
 #[inline]
 fn shard_of(line: LineAddr) -> usize {
     (line.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize
-}
-
-/// The tracked lines as aligned blocks, grouped by the blocks' key in
-/// one bank. A block record is `stride` words: the block's first line
-/// (low word, high word), the mask of its tracked lines, and its key in
-/// every bank. Records of one group sit back to back.
-#[derive(Clone, Debug)]
-struct BlockIndex {
-    /// The signature geometry the keys are computed for; expanding a
-    /// signature of another geometry panics.
-    cfg: SignatureConfig,
-    /// The bank whose key groups the blocks.
-    group_bank: u32,
-    /// Shift from that key to the group number: 4 when the bank is
-    /// line-granular (a block then covers one aligned 16-bit group of
-    /// its bits), else 0.
-    group_shift: u32,
-    /// Words per block record.
-    stride: usize,
-    /// The records of each group.
-    groups: Vec<Vec<u32>>,
-}
-
-/// Record word holding the block's mask of tracked lines.
-const MASK_AT: usize = 2;
-/// Record word where the keys start.
-const KEYS_AT: usize = 3;
-
-impl BlockIndex {
-    fn new(cfg: SignatureConfig) -> Self {
-        // Bank 1 indexes whole blocks: consecutive blocks take distinct
-        // keys and the fold scatters far regions, so a directory's blocks
-        // spread evenly over the groups and a W signature's set bits
-        // there name little more than its own blocks. A one-bank
-        // geometry groups on bank 0's 16-bit groups instead.
-        let group_bank = if cfg.banks() > 1 { 1 } else { 0 };
-        let group_shift = if is_line_granular(group_bank) { 4 } else { 0 };
-        BlockIndex {
-            cfg,
-            group_bank,
-            group_shift,
-            stride: KEYS_AT + cfg.banks() as usize,
-            groups: vec![Vec::new(); (cfg.bits_per_bank() >> group_shift) as usize],
-        }
-    }
-
-    /// First line of the block containing `line`, and `line`'s bit in the
-    /// block's mask.
-    #[inline]
-    fn block_of(line: LineAddr) -> (u64, u32) {
-        let base = line.as_u64() & !(BLOCK_LINES - 1);
-        (base, 1 << (line.as_u64() - base))
-    }
-
-    /// The group of the block starting at `base`.
-    #[inline]
-    fn group_of(&self, base: u64) -> usize {
-        (bank_hash(base, self.group_bank, self.cfg.bits_per_bank()) >> self.group_shift) as usize
-    }
-
-    /// Index of the record of block `base` in `group`, in words.
-    #[inline]
-    fn find(&self, group: &[u32], base: u64) -> Option<usize> {
-        group
-            .chunks_exact(self.stride)
-            .position(|r| r[0] == base as u32 && r[1] == (base >> 32) as u32)
-            .map(|i| i * self.stride)
-    }
-
-    /// Adds a newly tracked line, creating its block (and computing the
-    /// block's keys) if it is the block's first tracked line.
-    fn insert(&mut self, line: LineAddr) {
-        let (base, bit) = Self::block_of(line);
-        let g = self.group_of(base);
-        match self.find(&self.groups[g], base) {
-            Some(at) => self.groups[g][at + MASK_AT] |= bit,
-            None => {
-                let group = &mut self.groups[g];
-                group.extend([base as u32, (base >> 32) as u32, bit]);
-                group.extend(block_keys(self.cfg, base));
-            }
-        }
-    }
-
-    /// Removes a line that stopped being tracked, and its block with it
-    /// when it was the block's last tracked line.
-    fn remove(&mut self, line: LineAddr) {
-        let (base, bit) = Self::block_of(line);
-        let g = self.group_of(base);
-        let at = self
-            .find(&self.groups[g], base)
-            .expect("tracked line has a block");
-        let group = &mut self.groups[g];
-        group[at + MASK_AT] &= !bit;
-        if group[at + MASK_AT] == 0 {
-            let last = group.len() - self.stride;
-            group.copy_within(last.., at);
-            group.truncate(last);
-        }
-    }
-
-    /// Calls `f` on every tracked line that passes `wsig.test`, once each
-    /// and in no particular order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wsig`'s geometry is not the index's.
-    #[inline]
-    fn visit(&self, wsig: &Signature, mut f: impl FnMut(LineAddr)) {
-        assert_eq!(wsig.config(), self.cfg, "signature geometry mismatch");
-        let mut last = usize::MAX;
-        for bit in wsig.bank_set_bits(self.group_bank) {
-            let g = (bit >> self.group_shift) as usize;
-            if g == last {
-                continue;
-            }
-            last = g;
-            for r in self.groups[g].chunks_exact(self.stride) {
-                let mut m = wsig.block_matches(&r[KEYS_AT..], r[MASK_AT] as u16);
-                let base = r[0] as u64 | (r[1] as u64) << 32;
-                while m != 0 {
-                    f(LineAddr(base + m.trailing_zeros() as u64));
-                    m &= m - 1;
-                }
-            }
-        }
-    }
 }
 
 impl DirectoryState {
@@ -396,33 +262,11 @@ mod tests {
         Signature::from_lines(SignatureConfig::paper_default(), lines.iter().copied())
     }
 
-    /// Checks the block index against the line map: every tracked line
-    /// sits in exactly one block, under its group and with its keys, and
-    /// no block is empty.
+    /// Checks the block index against the line map: it holds exactly
+    /// the tracked lines, each in one non-empty block.
     fn assert_index_consistent(d: &DirectoryState) {
-        let ix = &d.blocks;
-        let mut seen = BTreeSet::new();
-        for (g, group) in ix.groups.iter().enumerate() {
-            assert_eq!(group.len() % ix.stride, 0);
-            for r in group.chunks_exact(ix.stride) {
-                let base = r[0] as u64 | (r[1] as u64) << 32;
-                let mask = r[MASK_AT];
-                assert!(
-                    mask != 0 && mask <= 0xffff,
-                    "block {base:#x} mask {mask:#x}"
-                );
-                assert_eq!(ix.group_of(base), g, "block {base:#x} in the wrong group");
-                assert!(r[KEYS_AT..].iter().copied().eq(block_keys(ix.cfg, base)));
-                for j in 0..BLOCK_LINES {
-                    if mask >> j & 1 == 1 {
-                        let line = LineAddr(base + j);
-                        assert!(d.lookup(line).is_some(), "{line:?} indexed, not tracked");
-                        assert!(seen.insert(line), "{line:?} in two blocks");
-                    }
-                }
-            }
-        }
-        assert_eq!(seen.len(), d.len(), "tracked lines missing from the index");
+        let tracked: BTreeSet<LineAddr> = d.tracked_lines().collect();
+        assert_eq!(d.blocks.assert_consistent(), tracked);
     }
 
     #[test]
@@ -490,7 +334,7 @@ mod tests {
         d.drop_sharer(LineAddr(1), CoreId(0));
         assert!(d.is_empty());
         // The block index is garbage-collected with the line.
-        assert!(d.blocks.groups.iter().all(|g| g.is_empty()));
+        assert!(d.blocks.assert_consistent().is_empty());
         // Dropping an untracked line is a no-op.
         d.drop_sharer(LineAddr(2), CoreId(0));
     }

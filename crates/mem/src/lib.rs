@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 mod addr;
+mod blockindex;
 mod cache;
 mod dirstate;
 mod hierarchy;

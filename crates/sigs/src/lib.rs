@@ -10,9 +10,10 @@
 //!   to nack loads that collide with a committing chunk's W signature),
 //! * **intersection** — do two sets possibly overlap? (chunk disambiguation:
 //!   `Ri ∩ Wj` and `Wi ∩ Wj` tests), and
-//! * **expansion** — given a universe of candidate lines (cache or directory
-//!   tags), which ones match the signature? (used to find sharers and to
-//!   invalidate cached lines).
+//! * **expansion** — which of the lines a directory or cache holds match
+//!   the signature? (used to find sharers and to invalidate cached lines;
+//!   [`block_keys`] and [`Signature::block_matches`] decode it per aligned
+//!   16-line block).
 //!
 //! Signatures are *conservative*: they never produce false negatives, but
 //! aliasing can produce false positives. The protocol tolerates this — a

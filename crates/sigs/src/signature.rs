@@ -22,7 +22,6 @@ use crate::hashing::{bank_hash, is_line_granular};
 /// let w = Signature::from_lines(cfg, [10, 20, 30]);
 /// assert!(w.test(20));
 /// assert!(!w.is_empty());
-/// assert_eq!(w.expand([5, 10, 15, 20]).len(), 2);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Signature {
@@ -138,22 +137,13 @@ impl Signature {
         self.inserted = self.inserted.saturating_add(other.inserted);
     }
 
-    /// Signature *expansion*: filters `candidates` down to the lines that
-    /// match the signature. This is how a directory module (or a cache)
-    /// recovers a concrete line list from a W signature — the result is a
-    /// superset of the truly inserted lines restricted to the candidate
-    /// universe.
-    pub fn expand<I: IntoIterator<Item = u64>>(&self, candidates: I) -> Vec<u64> {
-        candidates.into_iter().filter(|&l| self.test(l)).collect()
-    }
-
     /// Iterates over the set bit indices of bank `bank`, ascending.
     ///
-    /// This exposes one bank's raw bit vector so a cache or directory can
-    /// keep an inverted index "bank-`k` bit → tracked lines" and expand a
-    /// signature by visiting only the buckets of set bits instead of
-    /// scanning every tracked line: a line can only pass [`Signature::test`]
-    /// if its bank-`k` bit is set.
+    /// A line can only pass [`Signature::test`] if its bit is set in every
+    /// bank. An index that groups the lines it holds by their key in one
+    /// bank therefore expands a signature by visiting only the groups of
+    /// that bank's set bits, instead of testing every line; `sb-mem`'s
+    /// block index, shared by its directories and caches, does this.
     ///
     /// # Panics
     ///
@@ -390,19 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn expansion_is_superset_of_truth() {
-        let truth: Vec<u64> = (0..25).map(|i| i * 101).collect();
-        let s = Signature::from_lines(cfg(), truth.iter().copied());
-        let universe: Vec<u64> = (0..3000).collect::<Vec<_>>();
-        let expanded = s.expand(universe);
-        for t in &truth {
-            if *t < 3000 {
-                assert!(expanded.contains(t));
-            }
-        }
-    }
-
-    #[test]
     fn occupancy_grows_with_inserts() {
         let mut s = Signature::new(cfg());
         let mut last = 0.0;
@@ -586,19 +563,6 @@ mod proptests {
                     let want = candidates >> j & 1 == 1 && w.test(base + j);
                     prop_assert_eq!(m >> j & 1 == 1, want, "{}/{} line {}", bits, banks, j);
                 }
-            }
-        }
-
-        /// Expansion returns exactly the candidates that test positive.
-        #[test]
-        fn prop_expand_consistent(
-            lines in proptest::collection::vec(any::<u64>(), 0..50),
-            cands in proptest::collection::vec(any::<u64>(), 0..50),
-        ) {
-            let s = Signature::from_lines(small_cfg(), lines.iter().copied());
-            let out = s.expand(cands.iter().copied());
-            for &c in &cands {
-                prop_assert_eq!(out.contains(&c), s.test(c));
             }
         }
     }
