@@ -1,7 +1,9 @@
-//! Microbenchmarks of the substrates: signature operations, cache
-//! accesses and bulk invalidation, directory signature expansion, torus
-//! routing and workload generation — the inner loops the simulator's
-//! throughput depends on.
+//! Microbenchmarks of the substrates: signature operations and handle
+//! sharing, cache accesses and bulk invalidation, directory signature
+//! expansion, torus routing and workload generation — the inner loops
+//! the simulator's throughput depends on.
+//!
+//! Run with `cargo bench -p sb-bench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sb_engine::Cycle;
@@ -10,7 +12,7 @@ use sb_mem::{
     PageMapPolicy, PageMapper, SetAssocCache,
 };
 use sb_net::{MsgSize, Network, NetworkConfig, NodeId, TrafficClass};
-use sb_sigs::{Signature, SignatureConfig};
+use sb_sigs::{SigHandle, Signature, SignatureConfig};
 use sb_workloads::{AppProfile, WorkloadGen};
 use std::hint::black_box;
 
@@ -32,6 +34,28 @@ fn signatures(c: &mut Criterion) {
     });
     c.bench_function("signature_test_membership", |b| {
         b.iter(|| black_box(&a).test(black_box(999)))
+    });
+
+    // A commit's W fan-out: one deep copy of the signature per
+    // bulk-invalidation target, against one refcount bump per target.
+    let handle = SigHandle::from(a.clone());
+    c.bench_function("wsig_deep_clone", |b| b.iter(|| black_box(&a).clone()));
+    c.bench_function("wsig_handle_share", |b| {
+        b.iter(|| black_box(&handle).share())
+    });
+    // Copy-on-write: mutating an unshared handle is free — the
+    // chunk-execution insert path.
+    c.bench_function("sighandle_unshared_insert", |b| {
+        let mut h = SigHandle::empty(cfg);
+        let mut i = 0u64;
+        b.iter(|| {
+            i = i.wrapping_add(97);
+            h.make_mut().insert(i);
+        })
+    });
+    let other = SigHandle::from(d.clone());
+    c.bench_function("sig_intersects_via_handle", |b| {
+        b.iter(|| black_box(&handle).intersects(black_box(&other)))
     });
 }
 

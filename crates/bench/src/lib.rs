@@ -1,57 +1,9 @@
-//! Shared helpers for the Criterion benchmark harness.
+//! Criterion microbenchmarks of the simulator's substrates.
 //!
-//! Each bench target regenerates one family of the paper's tables/figures
-//! at a reduced scale (fewer committed instructions than the `figures`
-//! binary) so `cargo bench` finishes in minutes, and prints the same rows
-//! the paper reports alongside Criterion's timing of the simulation
-//! itself.
+//! The benches live in `benches/microbench_substrates.rs`; this library
+//! is empty. Whole-run timing belongs to `bench_json` (the CI throughput
+//! gates) and to the `perfbench` package (the repository benchmark), and
+//! the paper's tables come from the `figures` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use sb_proto::ProtocolKind;
-use sb_sim::{run_simulation, RunResult, SimConfig};
-use sb_workloads::AppProfile;
-
-/// Instructions per thread used by the bench-scale experiments.
-pub const BENCH_INSNS: u64 = 8_000;
-
-/// Builds the bench-scale configuration for one run.
-pub fn bench_config(app: AppProfile, cores: u16, proto: ProtocolKind) -> SimConfig {
-    let mut cfg = SimConfig::paper_default(cores, app, proto);
-    cfg.insns_per_thread = BENCH_INSNS;
-    cfg.seed = 0xbe9c;
-    cfg
-}
-
-/// Runs one bench-scale simulation.
-pub fn bench_run(app: AppProfile, cores: u16, proto: ProtocolKind) -> RunResult {
-    run_simulation(&bench_config(app, cores, proto))
-}
-
-/// The reduced application set used by the per-figure benches: the
-/// stress case (Radix), a read-wide case (Canneal) and a well-behaved
-/// case (FFT).
-pub fn bench_apps() -> Vec<AppProfile> {
-    vec![
-        AppProfile::radix(),
-        AppProfile::canneal(),
-        AppProfile::fft(),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_helpers_produce_runs() {
-        let r = bench_run(AppProfile::fft(), 8, ProtocolKind::ScalableBulk);
-        assert!(r.commits > 0);
-        assert_eq!(bench_apps().len(), 3);
-        assert_eq!(
-            bench_config(AppProfile::fft(), 8, ProtocolKind::Tcc).insns_per_thread,
-            BENCH_INSNS
-        );
-    }
-}

@@ -1,4 +1,5 @@
-//! A fast, deterministic hasher for simulator-internal maps.
+//! A fast, deterministic hasher for simulator-internal maps, and the
+//! FNV-1a hash that pins fingerprints and seeds.
 //!
 //! `std`'s default `SipHash` is hardened against HashDoS but costs real
 //! time on the event-loop hot path, where every store retirement probes a
@@ -101,6 +102,71 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
+
+/// Streaming 64-bit FNV-1a. Unlike `DefaultHasher` it is fixed across
+/// Rust releases and platforms, so it pins golden fingerprints and
+/// derives seeds from names.
+///
+/// # Examples
+///
+/// ```
+/// use sb_engine::hash::{fnv1a, Fnv1a};
+///
+/// assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
+/// assert_eq!(Fnv1a::new().bytes(b"ab").finish(), fnv1a(b"ab"));
+/// assert_eq!(Fnv1a::new().u64(7).finish(), fnv1a(&7u64.to_le_bytes()));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fnv1a {
+    /// The FNV-1a offset basis.
+    #[inline]
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds in one byte.
+    #[inline]
+    pub fn byte(&mut self, b: u8) -> &mut Self {
+        self.0 ^= b as u64;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        self
+    }
+
+    /// Folds in `bytes` in order.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.byte(b);
+        }
+        self
+    }
+
+    /// Folds in `v` as its eight little-endian bytes.
+    #[inline]
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// The hash of everything folded in so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a of a byte string.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    Fnv1a::new().bytes(bytes).finish()
+}
 
 #[cfg(test)]
 mod tests {

@@ -20,27 +20,3 @@
 
 pub mod json;
 pub mod perfetto;
-
-/// FNV-1a fingerprint of a byte string — stable across Rust releases,
-/// used to pin golden JSON snapshots (the same construction `sb-sim`
-/// uses for `RunTrace::fingerprint`).
-pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fingerprint_is_stable_and_content_sensitive() {
-        assert_eq!(fingerprint(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fingerprint(b"abc"), fingerprint(b"abc"));
-        assert_ne!(fingerprint(b"abc"), fingerprint(b"abd"));
-    }
-}

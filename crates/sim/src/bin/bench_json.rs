@@ -240,8 +240,7 @@ fn main() {
     json.push_str("  \"runs\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let p = &e.result.perf;
-        // Phase wall-times come from the run's metrics registry — the
-        // same source `figures --timing` renders.
+        // Phase wall-times come from the run's metrics registry.
         let phase = |name| e.result.metrics.gauge(name).unwrap_or(0.0);
         json.push_str(&format!(
             concat!(

@@ -1,20 +1,19 @@
 //! Regenerates every table and figure of the ScalableBulk paper.
 //!
 //! ```text
-//! cargo run --release -p sb-sim --bin figures -- <id> [--insns N] [--seed S] [--jobs N] [--csv DIR] [--timing] [--attribution] [--trace-out PATH]
+//! cargo run --release -p sb-sim --bin figures -- <id>... [--insns N] [--seed S] [--jobs N] [--csv DIR] [--attribution] [--trace-out PATH]
 //! cargo run --release -p sb-sim --bin figures -- all
-//! cargo run --release -p sb-sim --bin figures -- --timing
 //! ```
+//!
+//! The requested ids share one run cache: a configuration is simulated
+//! the first time any id needs it, and later ids reuse the result. At
+//! exit a stderr line `[runs: N simulated, M reused]` reports both
+//! counts.
 //!
 //! `--jobs N` sets the worker-thread count for the independent runs
 //! inside each figure (default: all hardware threads; `--jobs 1` is
 //! fully serial). Output is byte-identical at any value — results merge
 //! in work-list order, not completion order.
-//!
-//! `--timing` appends a host-side simulator-throughput probe (events/sec,
-//! sim-cycles/sec per core count, per-phase wall times from the metrics
-//! registry, commit-latency percentiles) after the requested figures; it
-//! can also be used alone.
 //!
 //! `--attribution` runs each Table-3 protocol with causal tracing on and
 //! prints (a) the Figure-7 cycle breakdown *reconstructed from the
@@ -47,67 +46,71 @@
 //! reports commit throughput, its scaling versus the smallest swept
 //! machine, and the dominant critical-path segment per cell — the
 //! evidence behind EXPERIMENTS.md's scaling-cliff section.
+//!
+//! Bad flag values, unknown ids and fabrics, and fabrics too small for a
+//! requested core count exit 2 with usage before anything runs; an
+//! output path that cannot be written exits 1.
 
-use sb_sim::experiments::{self, Sweep};
-use sb_workloads::{AppProfile, Suite};
+use std::path::{Path, PathBuf};
+
+use sb_net::Topology;
+use sb_proto::ProtocolKind;
+use sb_sim::experiments::{self, RunCache, Sweep};
+use sb_sim::{ObsConfig, SimConfig};
+use sb_workloads::AppProfile;
+
+/// The ids `all` expands to, in order (`scaling` is not part of `all`).
+const ALL_IDS: [&str; 20] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "fig18",
+    "fig19",
+    "ablation_oci",
+    "ablation_sig",
+    "ablation_rotation",
+    "ext_seqts",
+];
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures -- <table1|table2|table3|fig7..fig19|ablation_oci|ablation_sig|ablation_rotation|scaling|all> [--insns N] [--seed S] [--jobs N|auto] [--cores LIST] [--fabrics LIST] [--csv DIR] [--timing] [--attribution] [--trace-out PATH] [--series-out PATH] [--series-window N]"
+        "usage: figures -- <table1|table2|table3|fig7..fig19|ablation_oci|ablation_sig|ablation_rotation|ext_seqts|scaling|all>... [--insns N] [--seed S] [--jobs N|auto] [--cores LIST] [--fabrics LIST] [--csv DIR] [--attribution] [--trace-out PATH] [--series-out PATH] [--series-window N]"
     );
     std::process::exit(2);
 }
 
-/// Runs the fig-7 FFT/ScalableBulk point at several core counts and
-/// prints the host-side throughput of each run plus the aggregate.
-fn timing_probe(sweep: &Sweep) {
-    use sb_proto::ProtocolKind;
-    use sb_sim::{run_simulation, SimConfig};
-
-    println!("== Simulator throughput (host-side; FFT under ScalableBulk) ==");
-    let mut total = sb_stats::PerfReport::default();
-    let mut phases = sb_stats::MetricsRegistry::new();
-    for cores in [8u16, 32, 64] {
-        let mut cfg =
-            SimConfig::paper_default(cores, AppProfile::fft(), ProtocolKind::ScalableBulk);
-        cfg.insns_per_thread = sweep.insns_per_thread;
-        cfg.seed = sweep.seed;
-        let r = run_simulation(&cfg);
-        println!("{:>3} cores: {}", cores, r.perf.render());
-        println!("          {}", render_phases(&r.metrics));
-        // Percentiles are per-run reads (gauges sum under merge), so
-        // render them here rather than from the merged registry.
-        println!(
-            "          commit latency: mean {:.1}, p50 {}, p95 {}, p99 {}, max {} cycles",
-            r.latency.mean(),
-            r.latency.p50(),
-            r.latency.p95(),
-            r.latency.p99(),
-            r.latency.max()
-        );
-        total.accumulate(&r.perf);
-        phases.merge(&r.metrics);
+/// Writes `contents` to `path`, or exits 1 saying why it cannot.
+fn write_or_exit(path: &Path, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("[figures] cannot write {}: {e}", path.display());
+        std::process::exit(1);
     }
-    println!("  overall: {}", total.render());
-    println!("           {}", render_phases(&phases));
 }
 
 /// Runs each Table-3 protocol (64-core FFT) with causal tracing on and
 /// prints the obs-reconstructed Figure-7 breakdown plus the exact
 /// critical-path attribution of all commit-latency cycles.
 fn attribution_probe(sweep: &Sweep) {
-    use sb_proto::ProtocolKind;
-    use sb_sim::{breakdown_from_obs, commit_paths, run_simulation, Attribution, SimConfig};
+    use sb_sim::{breakdown_from_obs, commit_paths, run_simulation, Attribution};
 
     println!(
         "== Critical-path attribution (FFT, 64 cores; reconstructed from the causal trace) =="
     );
     for proto in ProtocolKind::ALL {
-        let mut cfg = SimConfig::paper_default(64, AppProfile::fft(), proto);
-        cfg.insns_per_thread = sweep.insns_per_thread;
-        cfg.seed = sweep.seed;
+        let mut cfg = sweep.config(64, AppProfile::fft(), proto);
         cfg.trace = true;
-        cfg.obs = sb_sim::ObsConfig::on();
+        cfg.obs = ObsConfig::on();
         let r = run_simulation(&cfg);
         let b = breakdown_from_obs(r.obs.as_ref().expect("obs on"));
         // The trace-reconstructed breakdown must equal the aggregate
@@ -138,32 +141,21 @@ fn attribution_probe(sweep: &Sweep) {
     }
 }
 
-/// One-line per-phase wall-time rendering from the metrics registry —
-/// the same numbers `bench_json` exports.
-fn render_phases(m: &sb_stats::MetricsRegistry) -> String {
-    let g = |name| m.gauge(name).unwrap_or(0.0);
-    format!(
-        "phases: setup {:.3}s, run {:.3}s, drain {:.3}s",
-        g("phase.setup_secs"),
-        g("phase.run_secs"),
-        g("phase.drain_secs"),
-    )
+/// The observed 8-core FFT/ScalableBulk point `--trace-out` and
+/// `--series-out` run.
+fn observed_point(sweep: &Sweep) -> SimConfig {
+    let mut cfg = sweep.config(8, AppProfile::fft(), ProtocolKind::ScalableBulk);
+    cfg.trace = true;
+    cfg.obs = ObsConfig::on();
+    cfg
 }
 
-/// Runs one observed 8-core FFT/ScalableBulk point and writes its
-/// Perfetto trace to `path`.
-fn trace_out(sweep: &Sweep, path: &std::path::Path) {
-    use sb_proto::ProtocolKind;
-    use sb_sim::{perfetto_trace, run_simulation, SimConfig};
+/// Runs the observed point and writes its Perfetto trace to `path`.
+fn trace_out(sweep: &Sweep, path: &Path) {
+    use sb_sim::{perfetto_trace, run_simulation};
 
-    let mut cfg = SimConfig::paper_default(8, AppProfile::fft(), ProtocolKind::ScalableBulk);
-    cfg.insns_per_thread = sweep.insns_per_thread;
-    cfg.seed = sweep.seed;
-    cfg.trace = true;
-    cfg.obs = sb_sim::ObsConfig::on();
-    let r = run_simulation(&cfg);
-    let json = perfetto_trace(&r);
-    std::fs::write(path, json.to_string_pretty()).expect("write trace");
+    let r = run_simulation(&observed_point(sweep));
+    write_or_exit(path, &perfetto_trace(&r).to_string_pretty());
     eprintln!(
         "[trace-out -> {} ({} commits, {} squashes)]",
         path.display(),
@@ -172,22 +164,17 @@ fn trace_out(sweep: &Sweep, path: &std::path::Path) {
     );
 }
 
-/// Runs the same observed 8-core FFT/ScalableBulk point as
-/// [`trace_out`] and writes its deterministic series report to `path`.
-fn series_out(sweep: &Sweep, path: &std::path::Path, window: u64) {
-    use sb_proto::ProtocolKind;
-    use sb_sim::{run_simulation, series, SimConfig};
+/// Runs the observed point and writes its deterministic series report
+/// to `path`.
+fn series_out(sweep: &Sweep, path: &Path, window: u64) {
+    use sb_sim::{run_simulation, series};
 
-    let mut cfg = SimConfig::paper_default(8, AppProfile::fft(), ProtocolKind::ScalableBulk);
-    cfg.insns_per_thread = sweep.insns_per_thread;
-    cfg.seed = sweep.seed;
-    cfg.trace = true;
-    cfg.obs = sb_sim::ObsConfig::on();
+    let mut cfg = observed_point(sweep);
     cfg.obs.series_window = window;
     let r = run_simulation(&cfg);
     let w = series::configured_series_window(&cfg, &r);
     let report = sb_sim::series_report(&cfg, &r, w).expect("series report");
-    std::fs::write(path, report.to_string_pretty()).expect("write series");
+    write_or_exit(path, &report.to_string_pretty());
     eprintln!(
         "[series-out -> {} ({} windows of {} cycles)]",
         path.display(),
@@ -202,18 +189,12 @@ fn series_out(sweep: &Sweep, path: &std::path::Path, window: u64) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    // (ids may legitimately be empty when only --timing was requested;
-    // checked after parsing.)
     let mut ids: Vec<String> = Vec::new();
     let mut sweep = Sweep::default();
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut timing = false;
+    let mut csv_dir: Option<PathBuf> = None;
     let mut attribution = false;
-    let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut series_path: Option<std::path::PathBuf> = None;
+    let mut trace_path: Option<PathBuf> = None;
+    let mut series_path: Option<PathBuf> = None;
     let mut series_window: u64 = 0;
     // The `scaling` sweep's axes (comma-separated): core counts beyond
     // the paper's 64 and interconnect fabrics by Topology::by_name.
@@ -222,7 +203,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--timing" => timing = true,
             "--attribution" => attribution = true,
             "--trace-out" => {
                 i += 1;
@@ -286,36 +266,35 @@ fn main() {
         }
         i += 1;
     }
-    if ids.is_empty() && !timing && !attribution && trace_path.is_none() && series_path.is_none() {
+    if ids.iter().any(|i| i == "all") {
+        ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
+    }
+    if let Some(bad) = ids
+        .iter()
+        .find(|id| *id != "scaling" && !ALL_IDS.contains(&id.as_str()))
+    {
+        eprintln!("unknown experiment id {bad:?}");
         usage();
     }
-    if ids.iter().any(|i| i == "all") {
-        ids = [
-            "table1",
-            "table2",
-            "table3",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17",
-            "fig18",
-            "fig19",
-            "ablation_oci",
-            "ablation_sig",
-            "ablation_rotation",
-            "ext_seqts",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    if ids.is_empty() && !attribution && trace_path.is_none() && series_path.is_none() {
+        usage();
     }
+    // Every fabric must exist and hold every swept core count.
+    let fits = |fabric: &String| {
+        scaling_cores
+            .iter()
+            .all(|&c| Topology::by_name(fabric, c).is_some_and(|t| t.tiles() >= c))
+    };
+    if !scaling_fabrics.iter().all(fits) {
+        usage();
+    }
+    if let Some(dir) = &csv_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("[figures] cannot write {}: {e}", dir.display());
+            std::process::exit(1);
+        }
+    }
+    let mut cache = RunCache::new(sweep.clone());
     for id in &ids {
         let started = std::time::Instant::now();
         let (title, table) = match id.as_str() {
@@ -333,60 +312,60 @@ fn main() {
             ),
             "fig7" => (
                 "Figure 7: SPLASH-2 execution time (normalized; speedup vs 1 proc)".to_string(),
-                experiments::exec_time_table(Suite::Splash2, &sweep),
+                experiments::exec_time_table(&AppProfile::splash2(), &mut cache),
             ),
             "fig8" => (
                 "Figure 8: PARSEC execution time (normalized; speedup vs 1 proc)".to_string(),
-                experiments::exec_time_table(Suite::Parsec, &sweep),
+                experiments::exec_time_table(&AppProfile::parsec(), &mut cache),
             ),
             "fig9" => (
                 "Figure 9: directories per chunk commit, SPLASH-2".to_string(),
-                experiments::dirs_per_commit_table(Suite::Splash2, &sweep),
+                experiments::dirs_per_commit_table(&AppProfile::splash2(), &mut cache),
             ),
             "fig10" => (
                 "Figure 10: directories per chunk commit, PARSEC".to_string(),
-                experiments::dirs_per_commit_table(Suite::Parsec, &sweep),
+                experiments::dirs_per_commit_table(&AppProfile::parsec(), &mut cache),
             ),
             "fig11" => (
                 "Figure 11: distribution of directories per commit, SPLASH-2, 64 procs (%)"
                     .to_string(),
-                experiments::dirs_distribution_table(Suite::Splash2, &sweep),
+                experiments::dirs_distribution_table(&AppProfile::splash2(), &mut cache),
             ),
             "fig12" => (
                 "Figure 12: distribution of directories per commit, PARSEC, 64 procs (%)"
                     .to_string(),
-                experiments::dirs_distribution_table(Suite::Parsec, &sweep),
+                experiments::dirs_distribution_table(&AppProfile::parsec(), &mut cache),
             ),
             "fig13" => (
                 "Figure 13: chunk commit latency (cycles; paper 64p means: SB 91, TCC 411, SEQ 153, BulkSC 2954)"
                     .to_string(),
-                experiments::commit_latency_table(&sweep),
+                experiments::commit_latency_table(&AppProfile::all(), &mut cache),
             ),
             "fig14" => (
                 "Figure 14: bottleneck ratio, SPLASH-2, 64 procs".to_string(),
-                experiments::bottleneck_ratio_table(Suite::Splash2, &sweep),
+                experiments::bottleneck_ratio_table(&AppProfile::splash2(), &mut cache),
             ),
             "fig15" => (
                 "Figure 15: bottleneck ratio, PARSEC, 64 procs".to_string(),
-                experiments::bottleneck_ratio_table(Suite::Parsec, &sweep),
+                experiments::bottleneck_ratio_table(&AppProfile::parsec(), &mut cache),
             ),
             "fig16" => (
                 "Figure 16: chunk queue length, SPLASH-2, 64 procs".to_string(),
-                experiments::queue_length_table(Suite::Splash2, &sweep),
+                experiments::queue_length_table(&AppProfile::splash2(), &mut cache),
             ),
             "fig17" => (
                 "Figure 17: chunk queue length, PARSEC, 64 procs".to_string(),
-                experiments::queue_length_table(Suite::Parsec, &sweep),
+                experiments::queue_length_table(&AppProfile::parsec(), &mut cache),
             ),
             "fig18" => (
                 "Figure 18: message characterization, SPLASH-2, 64 procs (normalized to TCC)"
                     .to_string(),
-                experiments::traffic_table(Suite::Splash2, &sweep),
+                experiments::traffic_table(&AppProfile::splash2(), &mut cache),
             ),
             "fig19" => (
                 "Figure 19: message characterization, PARSEC, 64 procs (normalized to TCC)"
                     .to_string(),
-                experiments::traffic_table(Suite::Parsec, &sweep),
+                experiments::traffic_table(&AppProfile::parsec(), &mut cache),
             ),
             "ablation_oci" => (
                 "Ablation: Optimistic Commit Initiation on/off (64 procs)".to_string(),
@@ -397,32 +376,29 @@ fn main() {
                         AppProfile::canneal(),
                         AppProfile::fft(),
                     ],
-                    &sweep,
+                    &mut cache,
                 ),
             ),
             "ablation_sig" => (
                 "Ablation: signature size sweep (Barnes, 64 procs)".to_string(),
-                experiments::ablation_signature_table(AppProfile::barnes(), &sweep),
+                experiments::ablation_signature_table(AppProfile::barnes(), &mut cache),
             ),
             "ext_seqts" => (
                 "Extension: SEQ-PRO vs SEQ-TS vs ScalableBulk (64 procs)".to_string(),
-                experiments::seq_ts_table(&sweep),
+                experiments::seq_ts_table(&mut cache),
             ),
             "ablation_rotation" => (
                 "Ablation: leader-priority rotation on/off (Radix, 64 procs)".to_string(),
-                experiments::ablation_rotation_table(AppProfile::radix(), &sweep),
+                experiments::ablation_rotation_table(AppProfile::radix(), &mut cache),
             ),
             "scaling" => (
                 format!(
                     "Scaling sweep: FFT, cores {:?}, fabrics {:?}",
                     scaling_cores, scaling_fabrics
                 ),
-                experiments::scaling_table(&sweep, &scaling_cores, &scaling_fabrics),
+                experiments::scaling_table(&mut cache, &scaling_cores, &scaling_fabrics),
             ),
-            other => {
-                eprintln!("unknown experiment id {other:?}");
-                usage();
-            }
+            other => unreachable!("unknown id {other:?} passed validation"),
         };
         println!("== {title} ==");
         println!(
@@ -431,15 +407,11 @@ fn main() {
         );
         println!("{}", table.render());
         if let Some(dir) = &csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
             let path = dir.join(format!("{id}.csv"));
-            std::fs::write(&path, table.to_csv()).expect("write csv");
+            write_or_exit(&path, &table.to_csv());
             eprintln!("[{} csv -> {}]", id, path.display());
         }
         eprintln!("[{} done in {:?}]", id, started.elapsed());
-    }
-    if timing {
-        timing_probe(&sweep);
     }
     if attribution {
         attribution_probe(&sweep);
@@ -450,4 +422,9 @@ fn main() {
     if let Some(path) = series_path {
         series_out(&sweep, &path, series_window);
     }
+    eprintln!(
+        "[runs: {} simulated, {} reused]",
+        cache.simulated(),
+        cache.reused()
+    );
 }

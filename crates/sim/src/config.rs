@@ -23,7 +23,7 @@ use sb_workloads::AppProfile;
 /// assert_eq!(cfg.net.link_latency, 7);
 /// assert_eq!(cfg.sig.total_bits(), 2048);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
     /// Number of cores (= tiles = directory modules): 32 or 64 in the
     /// paper, 1 for normalization runs.

@@ -4,18 +4,20 @@
 //! paper plots. The `figures` binary exposes them on the command line;
 //! `EXPERIMENTS.md` records paper-vs-measured for each.
 //!
-//! Runs are deterministic; independent runs are executed on worker
-//! threads.
+//! The figures are views of one grid of runs, so every table reads its
+//! runs from one [`RunCache`]: a config is simulated the first time any
+//! table asks for it, and independent runs execute on worker threads.
 
 use std::collections::HashMap;
 
 use sb_core::MessageType;
-use sb_net::TrafficClass;
+use sb_net::{Topology, TrafficClass};
 use sb_proto::ProtocolKind;
 use sb_stats::{TextTable, TrafficReport};
-use sb_workloads::{AppProfile, Suite};
+use sb_workloads::AppProfile;
 
-use crate::config::SimConfig;
+use crate::config::{ObsConfig, SimConfig};
+use crate::critical_path::{commit_paths, Attribution};
 use crate::parallel::{parallel_map, AUTO_JOBS};
 use crate::result::RunResult;
 use crate::runner::run_simulation;
@@ -44,109 +46,143 @@ impl Default for Sweep {
     }
 }
 
-/// A cache of completed runs keyed by (app, cores, protocol), filled in
-/// parallel. The 1-processor normalization runs are keyed with
-/// `cores == 0`.
-pub struct RunSet {
-    sweep: Sweep,
-    runs: HashMap<(String, u16, ProtocolKind), RunResult>,
-}
+impl Sweep {
+    /// The Table 2 machine with `cores` cores running `app` under
+    /// `protocol`, at this sweep's size and seed.
+    pub fn config(&self, cores: u16, app: AppProfile, protocol: ProtocolKind) -> SimConfig {
+        let mut cfg = SimConfig::paper_default(cores, app, protocol);
+        cfg.insns_per_thread = self.insns_per_thread;
+        cfg.seed = self.seed;
+        cfg
+    }
 
-impl RunSet {
-    /// Executes every (app × cores × protocol) combination plus the
-    /// 1-processor normalization runs, in parallel across OS threads.
-    pub fn collect(
+    /// [`Sweep::config`] for every app × core count × protocol.
+    pub fn grid(
+        &self,
         apps: &[AppProfile],
         cores_list: &[u16],
         protocols: &[ProtocolKind],
-        sweep: &Sweep,
-        with_single: bool,
-    ) -> RunSet {
-        let mut work: Vec<(String, u16, ProtocolKind, SimConfig)> = Vec::new();
+    ) -> Vec<SimConfig> {
+        let mut configs = Vec::new();
         for app in apps {
             for &cores in cores_list {
                 for &p in protocols {
-                    let mut cfg = SimConfig::paper_default(cores, *app, p);
-                    cfg.insns_per_thread = sweep.insns_per_thread;
-                    cfg.seed = sweep.seed;
-                    work.push((app.name.to_string(), cores, p, cfg));
-                }
-            }
-            if with_single {
-                // One normalization run per (app, parallel size): the
-                // single processor executes the whole problem.
-                for &cores in cores_list {
-                    let mut cfg = SimConfig::single_processor(*app, cores, sweep.insns_per_thread);
-                    cfg.seed = sweep.seed;
-                    work.push((
-                        format!("{}@1p{}", app.name, cores),
-                        0,
-                        ProtocolKind::ScalableBulk,
-                        cfg,
-                    ));
+                    configs.push(self.config(cores, *app, p));
                 }
             }
         }
-        let results = parallel_map(&work, sweep.jobs, |(_, _, _, cfg)| run_simulation(cfg));
-        RunSet {
-            sweep: sweep.clone(),
-            runs: work
-                .into_iter()
-                .zip(results)
-                .map(|((name, cores, p, _), r)| ((name, cores, p), r))
-                .collect(),
+        configs
+    }
+}
+
+/// Every run simulated so far, keyed by its full [`SimConfig`].
+///
+/// A run is a pure function of its config, so handing a held result to a
+/// second table cannot change a number. A figure sweep holds fewer than
+/// 200 runs, so lookups are linear and nothing is ever evicted.
+pub struct RunCache {
+    sweep: Sweep,
+    runs: Vec<(SimConfig, RunResult)>,
+    reused: usize,
+}
+
+impl RunCache {
+    /// An empty cache for `sweep`'s size, seed and worker count.
+    pub fn new(sweep: Sweep) -> Self {
+        RunCache {
+            sweep,
+            runs: Vec::new(),
+            reused: 0,
         }
-    }
-
-    /// The run for (app, cores, protocol).
-    pub fn get(&self, app: &str, cores: u16, p: ProtocolKind) -> &RunResult {
-        self.runs
-            .get(&(app.to_string(), cores, p))
-            .unwrap_or_else(|| panic!("missing run {app}/{cores}/{p}"))
-    }
-
-    /// The 1-processor normalization run for `app` matched to a
-    /// `cores`-way parallel run.
-    pub fn single(&self, app: &str, cores: u16) -> &RunResult {
-        let key = (format!("{app}@1p{cores}"), 0u16, ProtocolKind::ScalableBulk);
-        self.runs
-            .get(&key)
-            .unwrap_or_else(|| panic!("missing 1p run for {app}@{cores}"))
     }
 
     /// The sweep parameters used.
     pub fn sweep(&self) -> &Sweep {
         &self.sweep
     }
-}
 
-fn suite_apps(suite: Suite) -> Vec<AppProfile> {
-    match suite {
-        Suite::Splash2 => AppProfile::splash2(),
-        Suite::Parsec => AppProfile::parsec(),
+    /// Simulates every config of `configs` the cache does not hold yet,
+    /// each once, on `sweep.jobs` workers in request order.
+    pub fn fill(&mut self, configs: &[SimConfig]) {
+        let mut missing: Vec<SimConfig> = Vec::new();
+        for cfg in configs {
+            if self.runs.iter().any(|(c, _)| c == cfg) || missing.contains(cfg) {
+                self.reused += 1;
+            } else {
+                missing.push(cfg.clone());
+            }
+        }
+        let results = parallel_map(&missing, self.sweep.jobs, run_simulation);
+        // Keep copies made on this thread: results allocated by worker
+        // threads and held for the whole process fragment the workers'
+        // allocator arenas, which raised `figures all` peak RSS by a
+        // third at two workers.
+        let copies = results.iter().map(RunResult::clone);
+        self.runs.extend(missing.into_iter().zip(copies));
+    }
+
+    /// The run of `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` was never passed to [`RunCache::fill`].
+    pub fn get(&self, cfg: &SimConfig) -> &RunResult {
+        self.runs
+            .iter()
+            .find(|(c, _)| c == cfg)
+            .map(|(_, r)| r)
+            .unwrap_or_else(|| {
+                panic!(
+                    "run not filled: {}/{}/{}",
+                    cfg.app.name, cfg.cores, cfg.protocol
+                )
+            })
+    }
+
+    /// The [`Sweep::config`] run of `app` under `protocol` on `cores`
+    /// cores.
+    pub fn run(&self, cores: u16, app: &AppProfile, protocol: ProtocolKind) -> &RunResult {
+        self.get(&self.sweep.config(cores, *app, protocol))
+    }
+
+    /// Distinct runs simulated so far.
+    pub fn simulated(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Requests served by a run that was already held.
+    pub fn reused(&self) -> usize {
+        self.reused
     }
 }
 
 /// Figures 7 (SPLASH-2) and 8 (PARSEC): normalized execution time broken
 /// into Useful / Cache Miss / Commit / Squash, with the speedup over the
 /// 1-processor run, per application × core count × protocol.
-pub fn exec_time_table(suite: Suite, sweep: &Sweep) -> TextTable {
-    let apps = suite_apps(suite);
-    let set = RunSet::collect(&apps, &[32, 64], &ProtocolKind::ALL, sweep, true);
-    exec_time_table_from(&apps, &set)
-}
-
-/// Figures 7/8 from an existing [`RunSet`].
-pub fn exec_time_table_from(apps: &[AppProfile], set: &RunSet) -> TextTable {
+pub fn exec_time_table(apps: &[AppProfile], cache: &mut RunCache) -> TextTable {
+    let sweep = cache.sweep().clone();
+    // One normalization run per (app, parallel size): the single
+    // processor executes the whole problem.
+    let single = |app: &AppProfile, cores: u16| {
+        let mut cfg = SimConfig::single_processor(*app, cores, sweep.insns_per_thread);
+        cfg.seed = sweep.seed;
+        cfg
+    };
+    let mut configs = Vec::new();
+    for app in apps {
+        configs.extend(sweep.grid(&[*app], &[32, 64], &ProtocolKind::ALL));
+        configs.extend([32, 64].map(|cores| single(app, cores)));
+    }
+    cache.fill(&configs);
     let mut t = TextTable::new(vec![
         "app", "cores", "protocol", "useful%", "cache%", "commit%", "squash%", "speedup",
     ]);
     let mut sums: HashMap<(u16, ProtocolKind), (f64, [f64; 4])> = HashMap::new();
     for app in apps {
         for cores in [32u16, 64] {
-            let t1 = set.single(app.name, cores).wall_cycles;
+            let t1 = cache.get(&single(app, cores)).wall_cycles;
             for p in ProtocolKind::ALL {
-                let r = set.get(app.name, cores, p);
+                let r = cache.run(cores, app, p);
                 let b = &r.breakdown;
                 let speedup = t1 as f64 / r.wall_cycles.max(1) as f64;
                 t.row(vec![
@@ -190,20 +226,16 @@ pub fn exec_time_table_from(apps: &[AppProfile], set: &RunSet) -> TextTable {
 /// Figures 9 (SPLASH-2) / 10 (PARSEC): average number of directories per
 /// chunk commit, split into write group and read group, for 32 and 64
 /// processors under ScalableBulk.
-pub fn dirs_per_commit_table(suite: Suite, sweep: &Sweep) -> TextTable {
-    let apps = suite_apps(suite);
-    let set = RunSet::collect(
-        &apps,
-        &[32, 64],
-        &[ProtocolKind::ScalableBulk],
-        sweep,
-        false,
-    );
+pub fn dirs_per_commit_table(apps: &[AppProfile], cache: &mut RunCache) -> TextTable {
+    let configs = cache
+        .sweep()
+        .grid(apps, &[32, 64], &[ProtocolKind::ScalableBulk]);
+    cache.fill(&configs);
     let mut t = TextTable::new(vec!["app", "cores", "write_group", "read_group", "total"]);
     let mut sums: HashMap<u16, (f64, f64)> = HashMap::new();
-    for app in &apps {
+    for app in apps {
         for cores in [32u16, 64] {
-            let r = set.get(app.name, cores, ProtocolKind::ScalableBulk);
+            let r = cache.run(cores, app, ProtocolKind::ScalableBulk);
             let (w, rd) = (r.dirs.mean_write_group(), r.dirs.mean_read_group());
             t.row(vec![
                 app.name.into(),
@@ -234,15 +266,17 @@ pub fn dirs_per_commit_table(suite: Suite, sweep: &Sweep) -> TextTable {
 /// Figures 11 (SPLASH-2) / 12 (PARSEC): the distribution of directories
 /// accessed per chunk commit at 64 processors (percent of commits in
 /// buckets 0..=14 plus "more").
-pub fn dirs_distribution_table(suite: Suite, sweep: &Sweep) -> TextTable {
-    let apps = suite_apps(suite);
-    let set = RunSet::collect(&apps, &[64], &[ProtocolKind::ScalableBulk], sweep, false);
+pub fn dirs_distribution_table(apps: &[AppProfile], cache: &mut RunCache) -> TextTable {
+    let configs = cache
+        .sweep()
+        .grid(apps, &[64], &[ProtocolKind::ScalableBulk]);
+    cache.fill(&configs);
     let mut header: Vec<String> = vec!["app".into()];
     header.extend((0..=14).map(|k| k.to_string()));
     header.push("more".into());
     let mut t = TextTable::new(header);
-    for app in &apps {
-        let r = set.get(app.name, 64, ProtocolKind::ScalableBulk);
+    for app in apps {
+        let r = cache.run(64, app, ProtocolKind::ScalableBulk);
         let mut row = vec![app.name.to_string()];
         for k in 0..=15 {
             row.push(format!("{:.1}", r.dirs.percent(k)));
@@ -253,20 +287,20 @@ pub fn dirs_distribution_table(suite: Suite, sweep: &Sweep) -> TextTable {
 }
 
 /// Figure 13: distribution (and mean) of chunk-commit latency per
-/// protocol, averaged over all 18 applications, for 32 and 64 processors.
-/// The paper's 64-processor means are 91 / 411 / 153 / 2954 cycles for
-/// ScalableBulk / TCC / SEQ / BulkSC.
-pub fn commit_latency_table(sweep: &Sweep) -> TextTable {
-    let apps = AppProfile::all();
-    let set = RunSet::collect(&apps, &[32, 64], &ProtocolKind::ALL, sweep, false);
+/// protocol, averaged over `apps` (the paper: all 18 applications), for
+/// 32 and 64 processors. The paper's 64-processor means are
+/// 91 / 411 / 153 / 2954 cycles for ScalableBulk / TCC / SEQ / BulkSC.
+pub fn commit_latency_table(apps: &[AppProfile], cache: &mut RunCache) -> TextTable {
+    let configs = cache.sweep().grid(apps, &[32, 64], &ProtocolKind::ALL);
+    cache.fill(&configs);
     let mut t = TextTable::new(vec![
         "cores", "protocol", "mean", "p50", "p90", "p99", "max",
     ]);
     for cores in [32u16, 64] {
         for p in ProtocolKind::ALL {
             let mut agg = sb_stats::LatencyDist::new();
-            for app in &apps {
-                agg.merge(&set.get(app.name, cores, p).latency);
+            for app in apps {
+                agg.merge(&cache.run(cores, app, p).latency);
             }
             t.row(vec![
                 cores.to_string(),
@@ -285,20 +319,20 @@ pub fn commit_latency_table(sweep: &Sweep) -> TextTable {
 /// Figures 14 (SPLASH-2) / 15 (PARSEC): the bottleneck ratio per
 /// application for ScalableBulk, TCC and SEQ (BulkSC forms no groups) at
 /// 64 processors.
-pub fn bottleneck_ratio_table(suite: Suite, sweep: &Sweep) -> TextTable {
-    let apps = suite_apps(suite);
+pub fn bottleneck_ratio_table(apps: &[AppProfile], cache: &mut RunCache) -> TextTable {
     let protos = [
         ProtocolKind::ScalableBulk,
         ProtocolKind::Tcc,
         ProtocolKind::Seq,
     ];
-    let set = RunSet::collect(&apps, &[64], &protos, sweep, false);
+    let configs = cache.sweep().grid(apps, &[64], &protos);
+    cache.fill(&configs);
     let mut t = TextTable::new(vec!["app", "ScalableBulk", "TCC", "SEQ"]);
     let mut sums = [0.0f64; 3];
-    for app in &apps {
+    for app in apps {
         let vals: Vec<f64> = protos
             .iter()
-            .map(|p| set.get(app.name, 64, *p).gauges.bottleneck_ratio())
+            .map(|p| cache.run(64, app, *p).gauges.bottleneck_ratio())
             .collect();
         for (i, v) in vals.iter().enumerate() {
             sums[i] += v;
@@ -322,46 +356,33 @@ pub fn bottleneck_ratio_table(suite: Suite, sweep: &Sweep) -> TextTable {
 
 /// Figures 16 (SPLASH-2) / 17 (PARSEC): average chunk queue length for
 /// TCC and SEQ at 64 processors (chunks do not queue in ScalableBulk).
-pub fn queue_length_table(suite: Suite, sweep: &Sweep) -> TextTable {
-    let apps = suite_apps(suite);
+pub fn queue_length_table(apps: &[AppProfile], cache: &mut RunCache) -> TextTable {
     let protos = [
         ProtocolKind::Tcc,
         ProtocolKind::Seq,
         ProtocolKind::ScalableBulk,
     ];
-    let set = RunSet::collect(&apps, &[64], &protos, sweep, false);
+    let configs = cache.sweep().grid(apps, &[64], &protos);
+    cache.fill(&configs);
     let mut t = TextTable::new(vec!["app", "TCC", "SEQ", "ScalableBulk"]);
-    for app in &apps {
-        t.row(vec![
-            app.name.into(),
-            format!(
+    for app in apps {
+        let mut row = vec![app.name.to_string()];
+        for p in protos {
+            row.push(format!(
                 "{:.2}",
-                set.get(app.name, 64, ProtocolKind::Tcc)
-                    .gauges
-                    .mean_queue_length()
-            ),
-            format!(
-                "{:.2}",
-                set.get(app.name, 64, ProtocolKind::Seq)
-                    .gauges
-                    .mean_queue_length()
-            ),
-            format!(
-                "{:.2}",
-                set.get(app.name, 64, ProtocolKind::ScalableBulk)
-                    .gauges
-                    .mean_queue_length()
-            ),
-        ]);
+                cache.run(64, app, p).gauges.mean_queue_length()
+            ));
+        }
+        t.row(row);
     }
     t
 }
 
 /// Figures 18 (SPLASH-2) / 19 (PARSEC): number and class mix of network
 /// messages per protocol at 64 processors, normalized to TCC (=100).
-pub fn traffic_table(suite: Suite, sweep: &Sweep) -> TextTable {
-    let apps = suite_apps(suite);
-    let set = RunSet::collect(&apps, &[64], &ProtocolKind::ALL, sweep, false);
+pub fn traffic_table(apps: &[AppProfile], cache: &mut RunCache) -> TextTable {
+    let configs = cache.sweep().grid(apps, &[64], &ProtocolKind::ALL);
+    cache.fill(&configs);
     let mut t = TextTable::new(vec![
         "app",
         "protocol",
@@ -372,10 +393,10 @@ pub fn traffic_table(suite: Suite, sweep: &Sweep) -> TextTable {
         "SmallCMsg",
         "total%",
     ]);
-    for app in &apps {
-        let reference = &set.get(app.name, 64, ProtocolKind::Tcc).traffic;
+    for app in apps {
+        let reference = &cache.run(64, app, ProtocolKind::Tcc).traffic;
         for p in ProtocolKind::ALL {
-            let rep = TrafficReport::normalized(&set.get(app.name, 64, p).traffic, reference);
+            let rep = TrafficReport::normalized(&cache.run(64, app, p).traffic, reference);
             t.row(vec![
                 app.name.into(),
                 format!("{}", p.letter()),
@@ -465,23 +486,22 @@ pub fn protocols_table() -> TextTable {
 
 /// Ablation: ScalableBulk with and without Optimistic Commit Initiation
 /// (§3.3), per application at 64 processors.
-pub fn ablation_oci_table(apps: &[AppProfile], sweep: &Sweep) -> TextTable {
-    let mut t = TextTable::new(vec!["app", "oci", "wall_cycles", "mean_latency", "commit%"]);
-    let mut work: Vec<(&AppProfile, bool, SimConfig)> = Vec::new();
+pub fn ablation_oci_table(apps: &[AppProfile], cache: &mut RunCache) -> TextTable {
+    let mut configs = Vec::new();
     for app in apps {
         for oci in [true, false] {
-            let mut cfg = SimConfig::paper_default(64, *app, ProtocolKind::ScalableBulk);
-            cfg.insns_per_thread = sweep.insns_per_thread;
-            cfg.seed = sweep.seed;
+            let mut cfg = cache.sweep().config(64, *app, ProtocolKind::ScalableBulk);
             cfg.oci = oci;
-            work.push((app, oci, cfg));
+            configs.push(cfg);
         }
     }
-    let results = parallel_map(&work, sweep.jobs, |(_, _, cfg)| run_simulation(cfg));
-    for ((app, oci, _), r) in work.iter().zip(&results) {
+    cache.fill(&configs);
+    let mut t = TextTable::new(vec!["app", "oci", "wall_cycles", "mean_latency", "commit%"]);
+    for cfg in &configs {
+        let r = cache.get(cfg);
         t.row(vec![
-            app.name.into(),
-            oci.to_string(),
+            cfg.app.name.into(),
+            cfg.oci.to_string(),
             r.wall_cycles.to_string(),
             format!("{:.0}", r.latency.mean()),
             format!("{:.1}", r.breakdown.fraction_commit() * 100.0),
@@ -492,7 +512,16 @@ pub fn ablation_oci_table(apps: &[AppProfile], sweep: &Sweep) -> TextTable {
 
 /// Ablation: signature size sweep (512b..4Kb) under ScalableBulk —
 /// squash rate and commit latency vs the Table 2 default of 2 Kbit.
-pub fn ablation_signature_table(app: AppProfile, sweep: &Sweep) -> TextTable {
+pub fn ablation_signature_table(app: AppProfile, cache: &mut RunCache) -> TextTable {
+    let configs: Vec<SimConfig> = [512u32, 1024, 2048, 4096]
+        .into_iter()
+        .map(|bits| {
+            let mut cfg = cache.sweep().config(64, app, ProtocolKind::ScalableBulk);
+            cfg.sig = sb_sigs::SignatureConfig::new(bits, 4);
+            cfg
+        })
+        .collect();
+    cache.fill(&configs);
     let mut t = TextTable::new(vec![
         "sig_bits",
         "squash_rate%",
@@ -500,21 +529,11 @@ pub fn ablation_signature_table(app: AppProfile, sweep: &Sweep) -> TextTable {
         "mean_latency",
         "wall_cycles",
     ]);
-    let work: Vec<(u32, SimConfig)> = [512u32, 1024, 2048, 4096]
-        .into_iter()
-        .map(|bits| {
-            let mut cfg = SimConfig::paper_default(64, app, ProtocolKind::ScalableBulk);
-            cfg.insns_per_thread = sweep.insns_per_thread;
-            cfg.seed = sweep.seed;
-            cfg.sig = sb_sigs::SignatureConfig::new(bits, 4);
-            (bits, cfg)
-        })
-        .collect();
-    let results = parallel_map(&work, sweep.jobs, |(_, cfg)| run_simulation(cfg));
-    for ((bits, _), r) in work.iter().zip(&results) {
+    for cfg in &configs {
+        let r = cache.get(cfg);
         let total = (r.commits + r.squashes()).max(1) as f64;
         t.row(vec![
-            bits.to_string(),
+            cfg.sig.total_bits().to_string(),
             format!("{:.2}", r.squash_rate() * 100.0),
             format!("{:.2}", r.squashes_alias as f64 * 100.0 / total),
             format!("{:.0}", r.latency.mean()),
@@ -527,7 +546,21 @@ pub fn ablation_signature_table(app: AppProfile, sweep: &Sweep) -> TextTable {
 /// Extension: SEQ-PRO vs SEQ-TS vs ScalableBulk (§2.1's discussion of
 /// SRC's stealing optimization) on directory-hungry applications at 64
 /// processors.
-pub fn seq_ts_table(sweep: &Sweep) -> TextTable {
+pub fn seq_ts_table(cache: &mut RunCache) -> TextTable {
+    let configs = cache.sweep().grid(
+        &[
+            AppProfile::radix(),
+            AppProfile::canneal(),
+            AppProfile::fft(),
+        ],
+        &[64],
+        &[
+            ProtocolKind::Seq,
+            ProtocolKind::SeqTs,
+            ProtocolKind::ScalableBulk,
+        ],
+    );
+    cache.fill(&configs);
     let mut t = TextTable::new(vec![
         "app",
         "protocol",
@@ -536,28 +569,11 @@ pub fn seq_ts_table(sweep: &Sweep) -> TextTable {
         "mean_latency",
         "queue_len",
     ]);
-    let mut work: Vec<(AppProfile, ProtocolKind, SimConfig)> = Vec::new();
-    for app in [
-        AppProfile::radix(),
-        AppProfile::canneal(),
-        AppProfile::fft(),
-    ] {
-        for proto in [
-            ProtocolKind::Seq,
-            ProtocolKind::SeqTs,
-            ProtocolKind::ScalableBulk,
-        ] {
-            let mut cfg = SimConfig::paper_default(64, app, proto);
-            cfg.insns_per_thread = sweep.insns_per_thread;
-            cfg.seed = sweep.seed;
-            work.push((app, proto, cfg));
-        }
-    }
-    let results = parallel_map(&work, sweep.jobs, |(_, _, cfg)| run_simulation(cfg));
-    for ((app, proto, _), r) in work.iter().zip(&results) {
+    for cfg in &configs {
+        let r = cache.get(cfg);
         t.row(vec![
-            app.name.into(),
-            proto.label().into(),
+            cfg.app.name.into(),
+            cfg.protocol.label().into(),
             r.wall_cycles.to_string(),
             format!("{:.1}", r.breakdown.fraction_commit() * 100.0),
             format!("{:.0}", r.latency.mean()),
@@ -569,22 +585,23 @@ pub fn seq_ts_table(sweep: &Sweep) -> TextTable {
 
 /// Ablation: leader-priority rotation (§3.2.2 fairness) on/off — total
 /// commit retries as the unfairness proxy.
-pub fn ablation_rotation_table(app: AppProfile, sweep: &Sweep) -> TextTable {
-    let mut t = TextTable::new(vec!["rotation", "wall_cycles", "retries", "mean_latency"]);
-    let work: Vec<(Option<u64>, SimConfig)> = [None, Some(10_000u64)]
+pub fn ablation_rotation_table(app: AppProfile, cache: &mut RunCache) -> TextTable {
+    let configs: Vec<SimConfig> = [None, Some(10_000u64)]
         .into_iter()
         .map(|interval| {
-            let mut cfg = SimConfig::paper_default(64, app, ProtocolKind::ScalableBulk);
-            cfg.insns_per_thread = sweep.insns_per_thread;
-            cfg.seed = sweep.seed;
+            let mut cfg = cache.sweep().config(64, app, ProtocolKind::ScalableBulk);
             cfg.sb.rotation_interval = interval;
-            (interval, cfg)
+            cfg
         })
         .collect();
-    let results = parallel_map(&work, sweep.jobs, |(_, cfg)| run_simulation(cfg));
-    for ((interval, _), r) in work.iter().zip(&results) {
+    cache.fill(&configs);
+    let mut t = TextTable::new(vec!["rotation", "wall_cycles", "retries", "mean_latency"]);
+    for cfg in &configs {
+        let r = cache.get(cfg);
         t.row(vec![
-            interval.map_or("off".to_string(), |i| format!("every {i}")),
+            cfg.sb
+                .rotation_interval
+                .map_or("off".to_string(), |i| format!("every {i}")),
             r.wall_cycles.to_string(),
             r.commit_retries.to_string(),
             format!("{:.0}", r.latency.mean()),
@@ -600,45 +617,44 @@ pub fn ablation_rotation_table(app: AppProfile, sweep: &Sweep) -> TextTable {
 /// mean/p95 commit latency, and the dominant critical-path segment —
 /// the column that names each protocol's scaling cliff.
 ///
-/// `fabrics` are [`Topology::by_name`](sb_net::Topology::by_name)
-/// names (`torus`, `cmesh`, `xtorus`).
+/// `fabrics` are [`Topology::by_name`] names (`torus`, `cmesh`,
+/// `xtorus`).
 ///
 /// # Panics
 ///
 /// Panics on an unknown fabric name.
-pub fn scaling_table(sweep: &Sweep, cores_list: &[u16], fabrics: &[String]) -> TextTable {
-    use crate::critical_path::{commit_paths, Attribution};
-    use sb_net::Topology;
-
-    let mut cells: Vec<(String, u16, ProtocolKind)> = Vec::new();
+pub fn scaling_table(cache: &mut RunCache, cores_list: &[u16], fabrics: &[String]) -> TextTable {
+    let mut configs = Vec::new();
     for fabric in fabrics {
         for &cores in cores_list {
             for p in ProtocolKind::ALL {
-                cells.push((fabric.clone(), cores, p));
+                let mut cfg = cache.sweep().config(cores, AppProfile::fft(), p);
+                cfg.trace = true;
+                cfg.obs = ObsConfig::on();
+                let topo = Topology::by_name(fabric, cores)
+                    .unwrap_or_else(|| panic!("unknown fabric {fabric:?}"));
+                cfg.set_topology(topo);
+                configs.push(cfg);
             }
         }
     }
-    let rows = parallel_map(&cells, sweep.jobs, |(fabric, cores, p)| {
-        let mut cfg = SimConfig::paper_default(*cores, AppProfile::fft(), *p);
-        cfg.insns_per_thread = sweep.insns_per_thread;
-        cfg.seed = sweep.seed;
-        cfg.trace = true;
-        cfg.obs = crate::ObsConfig::on();
-        let topo = Topology::by_name(fabric, *cores)
-            .unwrap_or_else(|| panic!("unknown fabric {fabric:?}"));
-        cfg.set_topology(topo);
-        let r = run_simulation(&cfg);
-        let paths = commit_paths(&r).expect("trace+obs on, so paths reconstruct");
-        let a = Attribution::from_paths(&paths);
-        let top = a
-            .rows()
-            .into_iter()
-            .max_by_key(|&(_, cycles, _)| cycles)
-            .map(|(name, _, frac)| format!("{name} {:.0}%", frac * 100.0))
-            .unwrap_or_else(|| "-".into());
-        let throughput = r.commits as f64 / r.wall_cycles.max(1) as f64 * 10_000.0;
-        (throughput, r, top)
-    });
+    cache.fill(&configs);
+    let rows: Vec<(f64, &RunResult, String)> = configs
+        .iter()
+        .map(|cfg| {
+            let r = cache.get(cfg);
+            let paths = commit_paths(r).expect("trace+obs on, so paths reconstruct");
+            let a = Attribution::from_paths(&paths);
+            let top = a
+                .rows()
+                .into_iter()
+                .max_by_key(|&(_, cycles, _)| cycles)
+                .map(|(name, _, frac)| format!("{name} {:.0}%", frac * 100.0))
+                .unwrap_or_else(|| "-".into());
+            let throughput = r.commits as f64 / r.wall_cycles.max(1) as f64 * 10_000.0;
+            (throughput, r, top)
+        })
+        .collect();
     let mut t = TextTable::new(vec![
         "fabric",
         "cores",
@@ -655,18 +671,19 @@ pub fn scaling_table(sweep: &Sweep, cores_list: &[u16], fabrics: &[String]) -> T
     // (fabric, protocol) series.
     let base_cores = cores_list.iter().copied().min().unwrap_or(0);
     let mut base: HashMap<(&str, ProtocolKind), f64> = HashMap::new();
-    for ((fabric, cores, p), (tp, _, _)) in cells.iter().zip(&rows) {
-        if *cores == base_cores {
-            base.insert((fabric.as_str(), *p), *tp);
+    for (cfg, (tp, _, _)) in configs.iter().zip(&rows) {
+        if cfg.cores == base_cores {
+            base.insert((cfg.net.topology.name(), cfg.protocol), *tp);
         }
     }
-    for ((fabric, cores, p), (tp, r, top)) in cells.iter().zip(&rows) {
-        let b = base.get(&(fabric.as_str(), *p)).copied().unwrap_or(0.0);
+    for (cfg, (tp, r, top)) in configs.iter().zip(&rows) {
+        let fabric = cfg.net.topology.name();
+        let b = base.get(&(fabric, cfg.protocol)).copied().unwrap_or(0.0);
         let scaling = if b > 0.0 { tp / b } else { 0.0 };
         t.row(vec![
-            fabric.clone(),
-            cores.to_string(),
-            p.label().into(),
+            fabric.into(),
+            cfg.cores.to_string(),
+            cfg.protocol.label().into(),
             r.wall_cycles.to_string(),
             r.commits.to_string(),
             format!("{tp:.2}"),
@@ -683,12 +700,12 @@ pub fn scaling_table(sweep: &Sweep, cores_list: &[u16], fabrics: &[String]) -> T
 mod tests {
     use super::*;
 
-    fn quick_sweep() -> Sweep {
-        Sweep {
+    fn quick_cache() -> RunCache {
+        RunCache::new(Sweep {
             insns_per_thread: 6_000,
             seed: 7,
             jobs: AUTO_JOBS,
-        }
+        })
     }
 
     #[test]
@@ -703,28 +720,48 @@ mod tests {
         assert!(t3.render().contains("SEQ-PRO"));
     }
 
+    /// Configs that differ only in `oci` or only in `protocol` are
+    /// distinct runs; a config requested again, in a later batch or twice
+    /// in one batch, is simulated once.
     #[test]
-    fn runset_collects_and_indexes() {
+    fn cache_simulates_each_config_once() {
+        let mut cache = quick_cache();
+        let sb = cache
+            .sweep()
+            .config(8, AppProfile::fft(), ProtocolKind::ScalableBulk);
+        let mut no_oci = sb.clone();
+        no_oci.oci = false;
+        let mut tcc = sb.clone();
+        tcc.protocol = ProtocolKind::Tcc;
+        let configs = [sb.clone(), no_oci, tcc];
+        cache.fill(&configs);
+        assert_eq!((cache.simulated(), cache.reused()), (3, 0));
+        cache.fill(&configs);
+        assert_eq!((cache.simulated(), cache.reused()), (3, 3));
+        let lu = cache.sweep().config(8, AppProfile::lu(), ProtocolKind::Seq);
+        cache.fill(&[lu.clone(), lu]);
+        assert_eq!((cache.simulated(), cache.reused()), (4, 4));
+        assert!(cache.get(&sb).commits > 0);
+    }
+
+    /// A table rendered from a cache another table already filled reads
+    /// runs it did not simulate itself; a key that ignored a config field
+    /// those runs differ in would hand it the wrong ones.
+    #[test]
+    fn warm_cache_renders_the_same_table_as_a_fresh_one() {
         let apps = [AppProfile::fft()];
-        let set = RunSet::collect(
-            &apps,
-            &[8],
-            &[ProtocolKind::ScalableBulk],
-            &quick_sweep(),
-            true,
-        );
-        let r = set.get("FFT", 8, ProtocolKind::ScalableBulk);
-        assert!(r.commits > 0);
-        let s = set.single("FFT", 8);
-        assert!(s.wall_cycles > r.wall_cycles, "1p run does 8x the work");
-        assert_eq!(set.sweep().insns_per_thread, 6_000);
+        let mut warm = quick_cache();
+        queue_length_table(&apps, &mut warm);
+        let from_warm = ablation_oci_table(&apps, &mut warm).render();
+        let from_fresh = ablation_oci_table(&apps, &mut quick_cache()).render();
+        assert_eq!(from_warm, from_fresh);
+        assert_eq!(warm.reused(), 1, "oci on is fig16's ScalableBulk run");
     }
 
     #[test]
     fn scaling_table_covers_fabrics_and_scales_from_smallest() {
-        let sweep = quick_sweep();
         let fabrics = vec!["torus".to_string(), "cmesh".to_string()];
-        let t = scaling_table(&sweep, &[8, 16], &fabrics);
+        let t = scaling_table(&mut quick_cache(), &[8, 16], &fabrics);
         assert_eq!(t.len(), 2 * 2 * 4);
         let text = t.render();
         assert!(text.contains("cmesh"));
@@ -735,8 +772,7 @@ mod tests {
     #[test]
     fn exec_time_table_has_all_rows() {
         let apps = [AppProfile::fft(), AppProfile::lu()];
-        let set = RunSet::collect(&apps, &[32, 64], &ProtocolKind::ALL, &quick_sweep(), true);
-        let t = exec_time_table_from(&apps, &set);
+        let t = exec_time_table(&apps, &mut quick_cache());
         assert_eq!(t.len(), 2 * 2 * 4 + 2 * 4);
         let text = t.render();
         assert!(text.contains("AVERAGE"));

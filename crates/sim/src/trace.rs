@@ -23,6 +23,7 @@
 //! timing or behaviour, only observes it.
 
 use sb_chunks::ChunkTag;
+use sb_engine::hash::Fnv1a;
 use sb_engine::Cycle;
 use sb_mem::{DirId, LineAddr};
 use sb_sigs::SigHandle;
@@ -95,7 +96,7 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    fn fold_fingerprint(&self, h: &mut Fnv) {
+    fn fold_fingerprint(&self, h: &mut Fnv1a) {
         match self {
             TraceEvent::ExecStart { core, tag, at } => {
                 h.byte(1).u64(*core as u64).tag(*tag).u64(at.as_u64());
@@ -164,7 +165,7 @@ impl RunTrace {
     /// the same fingerprint — this is what makes a one-line replay
     /// command an exact reproduction, not just a similar failure.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         for e in &self.events {
             e.fold_fingerprint(&mut h);
         }
@@ -173,30 +174,14 @@ impl RunTrace {
     }
 }
 
-/// FNV-1a, explicit so the fingerprint is stable across Rust releases
-/// (`DefaultHasher` makes no such promise).
-struct Fnv(u64);
+/// Folds a chunk tag into a fingerprint.
+trait FoldTag {
+    fn tag(&mut self, t: ChunkTag) -> &mut Self;
+}
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) -> &mut Self {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        self
-    }
-    fn u64(&mut self, v: u64) -> &mut Self {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-        self
-    }
+impl FoldTag for Fnv1a {
     fn tag(&mut self, t: ChunkTag) -> &mut Self {
         self.u64(t.core().0 as u64).u64(t.seq())
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

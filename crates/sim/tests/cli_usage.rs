@@ -1,5 +1,6 @@
 //! Bad flag values are usage errors: every binary exits with status 2
-//! (after printing usage) instead of panicking with status 101.
+//! (after printing usage) instead of panicking with status 101. An
+//! output path that cannot be written exits 1 with a message.
 
 use std::process::Command;
 
@@ -80,7 +81,34 @@ fn calib_rejects_bad_positionals() {
 fn figures_rejects_malformed_values() {
     let bin = env!("CARGO_BIN_EXE_figures");
     // `table1` runs in milliseconds, so only the bad value can fail it.
-    for args in [&["table1", "--insns", "x"][..], &["table1", "--jobs", "0"]] {
+    for args in [
+        &["table1", "--insns", "x"][..],
+        &["table1", "--jobs", "0"],
+        &["table1", "--timing"],
+        &["table1", "fig99"],
+        &["scaling", "--fabrics", "bogus"],
+        &["scaling", "--fabrics", "torus,bogus"],
+    ] {
         assert_usage_exit(bin, args);
+    }
+}
+
+#[test]
+fn figures_reports_unwritable_outputs() {
+    let bin = env!("CARGO_BIN_EXE_figures");
+    // A path below a regular file can be neither created nor written.
+    let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
+    for args in [
+        &["table1", "--csv", bad][..],
+        &["--trace-out", bad, "--insns", "500"],
+        &["--series-out", bad, "--insns", "500"],
+    ] {
+        let out = Command::new(bin).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "figures {args:?}: {stderr}");
+        assert!(
+            stderr.contains("cannot write"),
+            "figures {args:?}: {stderr}"
+        );
     }
 }

@@ -15,6 +15,7 @@
 //!
 //! and paste the printed constants over `GOLDEN_*`.
 
+use sb_engine::hash::fnv1a;
 use sb_proto::ProtocolKind;
 use sb_sim::{perfetto_trace, run_simulation, verify_observability, SimConfig};
 use sb_workloads::AppProfile;
@@ -44,14 +45,14 @@ fn perfetto_export_matches_golden_snapshot() {
     if std::env::var_os("SB_GOLDEN_PRINT").is_some() {
         println!(
             "const GOLDEN_FINGERPRINT: u64 = {:#x};",
-            sb_obs::fingerprint(text.as_bytes())
+            fnv1a(text.as_bytes())
         );
         println!("const GOLDEN_EVENTS: usize = {events};");
         return;
     }
     assert_eq!(events, GOLDEN_EVENTS, "export event count drifted");
     assert_eq!(
-        sb_obs::fingerprint(text.as_bytes()),
+        fnv1a(text.as_bytes()),
         GOLDEN_FINGERPRINT,
         "perfetto export drifted from golden snapshot"
     );
@@ -96,7 +97,7 @@ fn pinned_columns(cfg: &SimConfig) -> (u64, u64, u64, u64) {
         r.commits,
         r.wall_cycles,
         trace.fingerprint(),
-        sb_obs::fingerprint(perfetto_trace(&r).to_string().as_bytes()),
+        fnv1a(perfetto_trace(&r).to_string().as_bytes()),
     )
 }
 

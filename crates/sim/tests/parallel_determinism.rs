@@ -4,11 +4,11 @@
 //! `sb_sim::parallel`, so the whole-system guarantee reduces to: the
 //! same work-list executed at different `jobs` values yields the same
 //! `RunResult`s in the same order, and everything rendered from them
-//! (tables, merged metrics JSON) is byte-identical. `--jobs 1` is the
+//! (tables, metrics JSON) is byte-identical. `--jobs 1` is the
 //! serial reference path (no threads are spawned at all).
 
 use sb_proto::ProtocolKind;
-use sb_sim::experiments::{ablation_signature_table, RunSet, Sweep};
+use sb_sim::experiments::{ablation_signature_table, RunCache, Sweep};
 use sb_sim::parallel::parallel_map;
 use sb_sim::{run_simulation, SimConfig};
 use sb_workloads::AppProfile;
@@ -21,18 +21,29 @@ fn sweep_with_jobs(jobs: usize) -> Sweep {
     }
 }
 
-/// The same RunSet collected serially and on 4 workers holds identical
+/// The same runs cached serially and on 4 workers are identical
 /// simulated outcomes, metric for metric.
 #[test]
-fn runset_is_identical_at_jobs_1_and_4() {
+fn run_cache_is_identical_at_jobs_1_and_4() {
     let apps = [AppProfile::fft(), AppProfile::radix()];
     let protos = [ProtocolKind::ScalableBulk, ProtocolKind::Tcc];
-    let serial = RunSet::collect(&apps, &[8], &protos, &sweep_with_jobs(1), true);
-    let parallel = RunSet::collect(&apps, &[8], &protos, &sweep_with_jobs(4), true);
+    let single = |app: &AppProfile| {
+        let mut cfg = SimConfig::single_processor(*app, 8, 4_000);
+        cfg.seed = 0xd15c0;
+        cfg
+    };
+    let fill = |jobs| {
+        let mut cache = RunCache::new(sweep_with_jobs(jobs));
+        let mut configs = cache.sweep().grid(&apps, &[8], &protos);
+        configs.extend(apps.iter().map(single));
+        cache.fill(&configs);
+        cache
+    };
+    let (serial, parallel) = (fill(1), fill(4));
     for app in &apps {
         for &p in &protos {
-            let a = serial.get(app.name, 8, p);
-            let b = parallel.get(app.name, 8, p);
+            let a = serial.run(8, app, p);
+            let b = parallel.run(8, app, p);
             assert_eq!(a.wall_cycles, b.wall_cycles, "{}/{p}", app.name);
             assert_eq!(a.commits, b.commits, "{}/{p}", app.name);
             assert_eq!(a.squashes(), b.squashes(), "{}/{p}", app.name);
@@ -47,7 +58,7 @@ fn runset_is_identical_at_jobs_1_and_4() {
                 );
             }
         }
-        let (sa, sb) = (serial.single(app.name, 8), parallel.single(app.name, 8));
+        let (sa, sb) = (serial.get(&single(app)), parallel.get(&single(app)));
         assert_eq!(sa.wall_cycles, sb.wall_cycles, "{} 1p run", app.name);
     }
 }
@@ -55,9 +66,11 @@ fn runset_is_identical_at_jobs_1_and_4() {
 /// A rendered experiment table is byte-identical at any job count.
 #[test]
 fn rendered_table_is_byte_identical_across_job_counts() {
-    let t1 = ablation_signature_table(AppProfile::fft(), &sweep_with_jobs(1)).render();
-    let t4 = ablation_signature_table(AppProfile::fft(), &sweep_with_jobs(4)).render();
-    assert_eq!(t1, t4, "table text depends on worker count");
+    let render = |jobs| {
+        ablation_signature_table(AppProfile::fft(), &mut RunCache::new(sweep_with_jobs(jobs)))
+            .render()
+    };
+    assert_eq!(render(1), render(4), "table text depends on worker count");
 }
 
 /// Direct parallel_map over SimConfigs preserves input order even when

@@ -15,12 +15,11 @@
 //! * [`TextTable`] — aligned text/CSV rendering used by the `figures`
 //!   binary.
 //! * [`PerfReport`] — host-side simulator throughput (events/sec,
-//!   sim-cycles/sec) behind the `figures --timing` flag and the
-//!   criterion benches.
+//!   sim-cycles/sec) behind `bench_json`.
 //! * [`MetricsRegistry`] — named counters/gauges/histograms registered
 //!   by the simulator (traffic per Table-1 class, phase wall times,
-//!   queue depths), merged across runs and dumped as deterministic
-//!   JSON alongside [`PerfReport`].
+//!   queue depths), dumped as deterministic JSON alongside
+//!   [`PerfReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,11 +1,10 @@
 //! A named metrics registry: typed counters, gauges and histograms with
-//! deterministic JSON export and cross-run merging.
+//! deterministic JSON export.
 //!
 //! The simulator registers everything it measures here by name —
 //! message counts and bytes per Table-1 traffic class, grab-queue wait,
 //! event-queue depth, wall time per simulation phase — so one dump
-//! carries the whole picture, and parallel runs of a sweep can be merged
-//! into one aggregate registry. Export goes through [`sb_obs::json`],
+//! carries the whole picture. Export goes through [`sb_obs::json`],
 //! with names iterated in sorted (BTreeMap) order, so the same run
 //! always produces the same bytes.
 //!
@@ -33,8 +32,7 @@ use sb_obs::json::JsonValue;
 pub enum Metric {
     /// A monotonically accumulated count.
     Counter(u64),
-    /// A point-in-time value (merging sums it, so per-phase wall times
-    /// aggregate naturally across runs).
+    /// A point-in-time value.
     Gauge(f64),
     /// A bounded histogram of `u64` samples.
     Histogram(Histogram),
@@ -147,32 +145,6 @@ impl MetricsRegistry {
         self.metrics.keys().map(|k| k.as_str())
     }
 
-    /// Merges another registry into this one: counters and gauges sum,
-    /// histograms merge bucket-wise. Names unique to either side are
-    /// kept.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shared name has different metric types (or histogram
-    /// geometries) on the two sides.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, theirs) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                None => {
-                    self.metrics.insert(name.clone(), theirs.clone());
-                }
-                Some(mine) => match (mine, theirs) {
-                    (Metric::Counter(a), Metric::Counter(b)) => *a += b,
-                    (Metric::Gauge(a), Metric::Gauge(b)) => *a += b,
-                    (Metric::Histogram(a), Metric::Histogram(b)) => a.merge(b),
-                    (mine, theirs) => {
-                        panic!("metric {name:?} type mismatch: {mine:?} vs {theirs:?}")
-                    }
-                },
-            }
-        }
-    }
-
     /// Deterministic JSON dump: one object per metric kind, names in
     /// sorted order, histograms with their full bucket vectors.
     pub fn to_json(&self) -> JsonValue {
@@ -239,96 +211,6 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.set_gauge("x", 1.0);
         m.add_counter("x", 1);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_gauges_and_merges_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.add_counter("c", 1);
-        a.set_gauge("g", 0.5);
-        a.observe("h", 3, 4, 10);
-        a.add_counter("only_a", 9);
-        let mut b = MetricsRegistry::new();
-        b.add_counter("c", 2);
-        b.set_gauge("g", 0.25);
-        b.observe("h", 13, 4, 10);
-        b.set_gauge("only_b", 7.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), Some(3));
-        assert_eq!(a.gauge("g"), Some(0.75));
-        assert_eq!(a.histogram("h").unwrap().total(), 2);
-        assert_eq!(a.counter("only_a"), Some(9));
-        assert_eq!(a.gauge("only_b"), Some(7.0));
-    }
-
-    /// Merging per-run registries must commute and associate — that is
-    /// what lets a parallel sweep reduce worker results in any claim
-    /// order and still produce one deterministic aggregate. Counters sum
-    /// (commutative on u64), gauges sum (the values below are dyadic
-    /// rationals, so f64 addition is exact and order-free), histograms
-    /// merge bucket-wise; disjoint names union.
-    #[test]
-    fn merge_is_order_independent() {
-        let regs: Vec<MetricsRegistry> = (0..4)
-            .map(|i| {
-                let mut m = MetricsRegistry::new();
-                m.add_counter("shared.count", 10 + i);
-                m.add_counter(&format!("only.{i}"), i + 1);
-                m.set_gauge("shared.gauge", 0.25 * (i + 1) as f64);
-                m.observe("shared.hist", i * 8, 4, 10);
-                m.observe("shared.hist", 100 + i, 4, 10); // overflow bucket
-                m
-            })
-            .collect();
-
-        let merge_in = |order: &[usize]| {
-            let mut acc = MetricsRegistry::new();
-            for &i in order {
-                acc.merge(&regs[i]);
-            }
-            acc
-        };
-        let reference = merge_in(&[0, 1, 2, 3]);
-        for order in [
-            [3, 2, 1, 0],
-            [2, 0, 3, 1],
-            [1, 3, 0, 2],
-            [0, 2, 1, 3],
-            [3, 0, 2, 1],
-        ] {
-            let merged = merge_in(&order);
-            assert_eq!(merged, reference, "order {order:?} diverged");
-            // The JSON export (what sweeps persist) is identical too.
-            assert_eq!(
-                merged.to_json().to_string(),
-                reference.to_json().to_string()
-            );
-        }
-        // Pairwise-then-merge (a reduction tree) matches the linear fold:
-        // associativity, not just commutativity.
-        let mut left = MetricsRegistry::new();
-        left.merge(&regs[0]);
-        left.merge(&regs[1]);
-        let mut right = MetricsRegistry::new();
-        right.merge(&regs[2]);
-        right.merge(&regs[3]);
-        left.merge(&right);
-        assert_eq!(left, reference);
-        // Sanity on the aggregate itself.
-        assert_eq!(reference.counter("shared.count"), Some(10 + 11 + 12 + 13));
-        assert_eq!(reference.gauge("shared.gauge"), Some(0.25 * 10.0));
-        assert_eq!(reference.histogram("shared.hist").unwrap().total(), 8);
-        assert_eq!(reference.histogram("shared.hist").unwrap().overflow(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "type mismatch")]
-    fn merge_type_mismatch_panics() {
-        let mut a = MetricsRegistry::new();
-        a.add_counter("x", 1);
-        let mut b = MetricsRegistry::new();
-        b.set_gauge("x", 1.0);
-        a.merge(&b);
     }
 
     #[test]

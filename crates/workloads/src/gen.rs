@@ -3,6 +3,7 @@
 use std::collections::VecDeque;
 
 use sb_chunks::{ChunkSpec, MemAccess};
+use sb_engine::hash::fnv1a;
 use sb_engine::Xoshiro256;
 use sb_mem::{Addr, LineAddr, PAGE_BYTES};
 
@@ -77,7 +78,7 @@ impl WorkloadGen {
     /// Panics if `threads` is zero.
     pub fn new(profile: AppProfile, threads: usize, seed: u64) -> Self {
         assert!(threads > 0, "need at least one thread");
-        let mut root = Xoshiro256::new(seed ^ fxhash(profile.name));
+        let mut root = Xoshiro256::new(seed ^ fnv1a(profile.name.as_bytes()));
         let nthreads = threads;
         let threads_vec = (0..nthreads)
             .map(|t| ThreadState {
@@ -361,16 +362,6 @@ impl WorkloadGen {
         self.rr_next = (self.rr_next + 1) % self.threads.len();
         self.next_chunk(t)
     }
-}
-
-/// Tiny deterministic string hash (profile-name seeding).
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
