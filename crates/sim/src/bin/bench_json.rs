@@ -288,7 +288,8 @@ fn main() {
                     "\"queue_ring_pushes\": {}, \"queue_far_pushes\": {}, ",
                     "\"queue_past_pushes\": {}, \"dir_expansions\": {}, ",
                     "\"dir_lines_matched\": {}, \"core_expansions\": {}, ",
-                    "\"core_lines_matched\": {}, \"peak_rss_bytes\": {}}}{}\n"
+                    "\"core_lines_matched\": {}, \"accesses\": {}, ",
+                    "\"lines_recorded\": {}, \"peak_rss_bytes\": {}}}{}\n"
                 ),
                 e.protocol,
                 e.cores,
@@ -304,6 +305,8 @@ fn main() {
                 c("prof.dir_lines_matched"),
                 c("prof.core_expansions"),
                 c("prof.core_lines_matched"),
+                c("prof.accesses"),
+                c("prof.lines_recorded"),
                 m.gauge("prof.peak_rss_bytes").unwrap_or(0.0) as u64,
                 if i + 1 == entries.len() { "" } else { "," },
             ));

@@ -10,8 +10,9 @@
 //! prints where the *host* time went: core-unit (plane A) busy time and
 //! unit visits (units actually run, per dispatched event), hub-plane
 //! utilization, directory signature expansions and the lines they
-//! matched, the calendar queue's tier occupancy/overflow counters, and
-//! peak RSS.
+//! matched, the accesses the cores executed and how many of them were
+//! new to their chunk, the calendar queue's tier occupancy/overflow
+//! counters, and peak RSS.
 //!
 //! Profiling never touches simulated state: wall cycles and commits are
 //! bit-identical with profiling on or off (the golden-trace battery
@@ -137,6 +138,11 @@ fn main() {
         "core-side expansions: {} (bulk_invalidate), {} lines matched",
         c("prof.core_expansions"),
         c("prof.core_lines_matched")
+    );
+    println!(
+        "chunk recording: {} accesses, {} (line, kind) pairs new to their chunk",
+        c("prof.accesses"),
+        c("prof.lines_recorded")
     );
     println!(
         "calendar queue: {} ring pushes (hwm {}), {} far (hwm {}), {} past (hwm {})",
