@@ -1,11 +1,12 @@
 //! Microbenchmarks of the substrates: signature operations and handle
-//! sharing, cache accesses and bulk invalidation, directory signature
-//! expansion, torus routing and workload generation — the inner loops
-//! the simulator's throughput depends on.
+//! sharing, chunk recording, cache accesses and bulk invalidation,
+//! directory signature expansion, torus routing and workload generation
+//! — the inner loops the simulator's throughput depends on.
 //!
 //! Run with `cargo bench -p sb-bench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sb_chunks::{ActiveChunk, ChunkSpec, ChunkTag};
 use sb_engine::Cycle;
 use sb_mem::{
     CacheConfig, CacheHierarchy, CacheHierarchyConfig, CoreId, DirId, DirectoryState, LineAddr,
@@ -56,6 +57,44 @@ fn signatures(c: &mut Criterion) {
     let other = SigHandle::from(d.clone());
     c.bench_function("sig_intersects_via_handle", |b| {
         b.iter(|| black_box(&handle).intersects(black_box(&other)))
+    });
+}
+
+fn chunks(c: &mut Criterion) {
+    // A core executing chunks: 64 FFT chunks, one per thread, recorded
+    // access by access into fresh `ActiveChunk`s with homes from a
+    // frozen page map, the way a core unit's `step` records them (the
+    // home is looked up only for a (line, kind) pair new to the chunk).
+    // A chunk has ~430 accesses and ~70 distinct pairs.
+    c.bench_function("chunk_record_fft", |b| {
+        const CORES: u16 = 64;
+        let sig = SignatureConfig::paper_default();
+        let mut gen = WorkloadGen::new(AppProfile::fft(), CORES as usize, 0x5ca1_ab1e);
+        let mut mapper = PageMapper::new(PageMapPolicy::FirstTouch, CORES);
+        for page in gen.shared_pool_pages() {
+            let h = page.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            mapper.home_of_page(page, CoreId((h % CORES as u64) as u16));
+        }
+        for core in 0..CORES {
+            let (base, count) = gen.private_region(core as usize);
+            for l in 0..count.max(1) {
+                mapper.home_of_line(LineAddr(base.as_u64() + l), CoreId(core));
+            }
+        }
+        let specs: Vec<ChunkSpec> = (0..CORES).map(|t| gen.next_chunk(t as usize)).collect();
+        let mapper = mapper;
+        b.iter(|| {
+            let mut new_pairs = 0u32;
+            for (t, spec) in specs.iter().enumerate() {
+                let mut chunk = ActiveChunk::new(ChunkTag::new(CoreId(t as u16), 0), sig);
+                for a in spec.accesses() {
+                    let home = || mapper.home_frozen(a.line);
+                    new_pairs += u32::from(chunk.record(a.line, a.is_write, home));
+                }
+                black_box(&chunk);
+            }
+            new_pairs
+        })
     });
 }
 
@@ -247,5 +286,13 @@ fn workload(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, signatures, caches, directories, torus, workload);
+criterion_group!(
+    benches,
+    signatures,
+    chunks,
+    caches,
+    directories,
+    torus,
+    workload
+);
 criterion_main!(benches);

@@ -84,6 +84,10 @@ impl fmt::Display for LineAddr {
     }
 }
 
+/// A set of line addresses, Fx-hashed (no per-process seed): for sets
+/// that are probed by key and never iterated in an order-sensitive way.
+pub type LineSet = sb_engine::FxHashSet<LineAddr>;
+
 /// A virtual page number.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageAddr(pub u64);

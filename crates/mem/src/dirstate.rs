@@ -35,6 +35,20 @@ struct LineDirInfo {
     resident: bool,
 }
 
+/// Where the home directory serves a read from (§6.5's three read
+/// classes).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReadSource {
+    /// The line is dirty in this core's cache: the home forwards the
+    /// read to it (three hops).
+    Owner(CoreId),
+    /// The line is shared, or resident in the aggregate cache capacity:
+    /// served cache-to-cache.
+    Cache,
+    /// The line is in no cache: served from memory.
+    Memory,
+}
+
 /// Sharer/owner bookkeeping for the lines homed at one directory module.
 ///
 /// # Examples
@@ -137,10 +151,17 @@ impl DirectoryState {
         self.lines[shard_of(line)].get(&line)
     }
 
-    /// Whether `line` is marked resident (or actually shared/owned).
-    pub fn is_resident(&self, line: LineAddr) -> bool {
-        self.lookup(line)
-            .is_some_and(|i| i.resident || !i.sharers.is_empty() || i.owner.is_some())
+    /// Where a read of `line` is served from, in one lookup: the dirty
+    /// owner if there is one, else a cache if the line is shared or
+    /// resident, else memory.
+    pub fn read_source(&self, line: LineAddr) -> ReadSource {
+        match self.lookup(line) {
+            Some(LineDirInfo {
+                owner: Some(owner), ..
+            }) => ReadSource::Owner(*owner),
+            Some(i) if i.resident || !i.sharers.is_empty() => ReadSource::Cache,
+            _ => ReadSource::Memory,
+        }
     }
 
     /// The sharers of `line` (empty if untracked).
@@ -350,6 +371,58 @@ mod tests {
         assert!(d.sharers_of(LineAddr(8)).contains(CoreId(4)));
     }
 
+    /// The three-lookup classification `read_source` replaces:
+    /// `owner_of`, then `sharers_of`, then whether the line is tracked
+    /// as resident, shared or owned.
+    fn three_lookup_source(d: &DirectoryState, line: LineAddr) -> ReadSource {
+        let resident = d
+            .lookup(line)
+            .is_some_and(|i| i.resident || !i.sharers.is_empty() || i.owner.is_some());
+        if let Some(owner) = d.owner_of(line) {
+            ReadSource::Owner(owner)
+        } else if !d.sharers_of(line).is_empty() || resident {
+            ReadSource::Cache
+        } else {
+            ReadSource::Memory
+        }
+    }
+
+    #[test]
+    fn read_source_agrees_with_three_lookups() {
+        let mut d = DirectoryState::new();
+        d.mark_resident(LineAddr(1)); // resident only
+        d.record_read(LineAddr(2), CoreId(3)); // shared
+        d.record_read(LineAddr(3), CoreId(4));
+        d.apply_commit(&sig_of(&[3]), CoreId(4)); // dirty
+        d.mark_resident(LineAddr(5));
+        d.apply_commit(&sig_of(&[5]), CoreId(6)); // dirty and resident
+        let lines = [1, 2, 3, 4, 5].map(LineAddr);
+        let check = |d: &DirectoryState, want: [ReadSource; 5]| {
+            for (line, want) in lines.into_iter().zip(want) {
+                assert_eq!(d.read_source(line), want, "{line:?}");
+                assert_eq!(d.read_source(line), three_lookup_source(d, line));
+            }
+        };
+        use ReadSource::{Cache, Memory, Owner};
+        check(
+            &d,
+            [Cache, Cache, Owner(CoreId(4)), Memory, Owner(CoreId(6))],
+        );
+        // Dropping the last sharer forgets a line unless it is resident;
+        // dropping the owner leaves a resident line cache-served.
+        d.drop_sharer(LineAddr(2), CoreId(3));
+        d.drop_sharer(LineAddr(3), CoreId(4));
+        d.drop_sharer(LineAddr(5), CoreId(6));
+        check(&d, [Cache, Memory, Memory, Memory, Cache]);
+        // A commit turns shared and resident-only lines dirty.
+        d.record_read(LineAddr(2), CoreId(1));
+        d.apply_commit(&sig_of(&[1, 2]), CoreId(2));
+        check(
+            &d,
+            [Owner(CoreId(2)), Owner(CoreId(2)), Memory, Memory, Cache],
+        );
+    }
+
     #[test]
     fn indexed_expansion_matches_full_scan() {
         // The block index must produce exactly the same expansion as a
@@ -431,8 +504,12 @@ mod tests {
             let want: CoreSet = sharers.iter().map(|&c| CoreId(c)).collect();
             assert_eq!(d.sharers_of(line), want, "{line:?}");
             assert_eq!(d.owner_of(line), owner.map(CoreId), "{line:?}");
-            let res = *resident || !sharers.is_empty() || owner.is_some();
-            assert_eq!(d.is_resident(line), res, "{line:?}");
+            let source = match owner {
+                Some(o) => ReadSource::Owner(CoreId(*o)),
+                None if *resident || !sharers.is_empty() => ReadSource::Cache,
+                None => ReadSource::Memory,
+            };
+            assert_eq!(d.read_source(line), source, "{line:?}");
         }
         assert_index_consistent(d);
     }

@@ -40,9 +40,9 @@ mod ids;
 mod mshr;
 mod page;
 
-pub use addr::{Addr, LineAddr, PageAddr, LINE_BYTES, PAGE_BYTES};
+pub use addr::{Addr, LineAddr, LineSet, PageAddr, LINE_BYTES, PAGE_BYTES};
 pub use cache::{CacheConfig, SetAssocCache};
-pub use dirstate::DirectoryState;
+pub use dirstate::{DirectoryState, ReadSource};
 pub use hierarchy::{CacheHierarchy, CacheHierarchyConfig, HitLevel};
 pub use ids::{CoreId, CoreSet, DirId, DirSet, MaskIter, TileSet, WideMask};
 pub use mshr::{MshrFile, MshrOutcome};

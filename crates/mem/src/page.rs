@@ -1,6 +1,6 @@
 //! Virtual-page → directory-module (home) mapping.
 
-use std::collections::HashMap;
+use sb_engine::FxHashMap;
 
 use crate::addr::{LineAddr, PageAddr};
 use crate::ids::{CoreId, DirId};
@@ -34,7 +34,8 @@ pub enum PageMapPolicy {
 pub struct PageMapper {
     policy: PageMapPolicy,
     modules: u16,
-    map: HashMap<PageAddr, DirId>,
+    /// Only ever accessed by key, so the hasher cannot affect results.
+    map: FxHashMap<PageAddr, DirId>,
 }
 
 impl PageMapper {
@@ -48,7 +49,7 @@ impl PageMapper {
         PageMapper {
             policy,
             modules,
-            map: HashMap::new(),
+            map: FxHashMap::default(),
         }
     }
 

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use sb_chunks::{ChunkSpec, MemAccess};
 use sb_engine::hash::fnv1a;
-use sb_engine::Xoshiro256;
+use sb_engine::{FxHashMap, Xoshiro256};
 use sb_mem::{Addr, LineAddr, PAGE_BYTES};
 
 use crate::profiles::AppProfile;
@@ -43,7 +43,8 @@ struct ThreadState {
     /// Sequential consumption cursor per recent page: re-visits continue
     /// where the last run stopped, so previously-touched lines stay hot
     /// and fresh-line (miss) rates match real locality-tuned codes.
-    page_cursor: std::collections::HashMap<u64, u64>,
+    /// Only ever accessed by key, so the hasher cannot affect the stream.
+    page_cursor: FxHashMap<u64, u64>,
 }
 
 /// Deterministic per-thread chunk streams for one application.
@@ -85,7 +86,7 @@ impl WorkloadGen {
                 rng: root.fork(t as u64),
                 private_cursor: 0,
                 recent: VecDeque::with_capacity(RECENT_PAGES),
-                page_cursor: std::collections::HashMap::new(),
+                page_cursor: FxHashMap::default(),
             })
             .collect();
         WorkloadGen {
