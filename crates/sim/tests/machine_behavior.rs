@@ -2,7 +2,7 @@
 //! real network, caches and workload underneath the protocol.
 
 use sb_proto::ProtocolKind;
-use sb_sim::{run_simulation, SimConfig};
+use sb_sim::{run_simulation, SimConfig, TraceEvent};
 use sb_workloads::AppProfile;
 
 fn cfg(app: AppProfile, cores: u16, proto: ProtocolKind) -> SimConfig {
@@ -154,4 +154,33 @@ fn contention_free_network_is_faster() {
         a.wall_cycles
     );
     let _ = &mut with_contention;
+}
+
+#[test]
+fn lines_recorded_counts_each_chunks_distinct_pairs() {
+    // On one core nothing invalidates a chunk, so every executed chunk
+    // commits once and the trace's committed footprints (rebuilt from
+    // the chunk specs) hold exactly the (line, kind) pairs recorded.
+    let mut c = cfg(AppProfile::fft(), 1, ProtocolKind::ScalableBulk);
+    c.trace = true;
+    c.obs.profile = true;
+    let r = run_simulation(&c);
+    assert_eq!(r.squashes_conflict + r.squashes_alias, 0);
+    let pairs: u64 = r
+        .trace
+        .as_ref()
+        .expect("traced run")
+        .events
+        .iter()
+        .map(|e| match e {
+            TraceEvent::Committed { reads, writes, .. } => (reads.len() + writes.len()) as u64,
+            _ => 0,
+        })
+        .sum();
+    let counter = |name| r.metrics.counter(name).expect("profiled run");
+    assert_eq!(counter("prof.lines_recorded"), pairs);
+    assert!(
+        counter("prof.accesses") > pairs,
+        "FFT chunks touch their lines more than once"
+    );
 }
