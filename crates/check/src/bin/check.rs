@@ -29,26 +29,19 @@
 use std::process::ExitCode;
 
 use sb_check::explore::{bug_by_name, explore, replay_schedule, ExploreConfig, ScheduleToken};
-use sb_check::{
-    check_case, protocol_by_name, render_sweep, run_cases, CaseReport, FuzzCase, SmokeReport,
-    PROTOCOLS,
-};
+use sb_check::{check_case, render_sweep, run_cases, CaseReport, FuzzCase, SmokeReport, PROTOCOLS};
+use sb_sim::cli::{self, Args};
 use sb_sim::parallel::AUTO_JOBS;
 
 const DEFAULT_CASES: u64 = 200;
 const DEFAULT_SEED: u64 = 0xf0f0_2026;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: check [--smoke N | --cases N] [--seed S] [--jobs J|auto]\n\
-         \u{20}      check --replay W:P:PROTO\n\
-         \u{20}      check explore [--proto P|all] [--depth N] [--max-schedules N] [--cores N]\n\
-         \u{20}                    [--insns N] [--wseed S] [--no-oci] [--inject-bug NAME]\n\
-         \u{20}                    [--no-dpor] [--compare]\n\
-         \u{20}      check --replay-schedule TOKEN"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "check [--smoke N | --cases N] [--seed S] [--jobs J|auto]
+       check --replay W:P:PROTO
+       check explore [--proto P|all] [--depth N] [--max-schedules N] [--cores N]
+                     [--insns N] [--wseed S] [--no-oci] [--inject-bug NAME]
+                     [--no-dpor] [--compare]
+       check --replay-schedule TOKEN";
 
 /// Runs the bounded explorer for every requested protocol; with
 /// `compare`, re-runs each exploration without DPOR and reports the
@@ -84,49 +77,28 @@ fn run_explore(mut configs: Vec<ExploreConfig>, compare: bool) -> ExitCode {
     }
 }
 
-fn explore_main(args: &[String]) -> ExitCode {
+fn explore_main(mut args: Args) -> ExitCode {
     let mut protos: Vec<_> = PROTOCOLS.to_vec();
     let mut base = ExploreConfig::small(protos[0]);
     let mut compare = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--proto" => match it.next().map(String::as_str) {
-                Some("all") => protos = PROTOCOLS.to_vec(),
-                Some(p) => match protocol_by_name(p) {
-                    Some(p) => protos = vec![p],
-                    None => return usage(),
-                },
-                None => return usage(),
-            },
-            "--depth" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(d) => base.depth = d,
-                None => return usage(),
-            },
-            "--max-schedules" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => base.max_schedules = n,
-                None => return usage(),
-            },
-            "--cores" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(c) => base.cores = c,
-                None => return usage(),
-            },
-            "--insns" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => base.insns_per_thread = n,
-                None => return usage(),
-            },
-            "--wseed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => base.wseed = s,
-                None => return usage(),
-            },
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--proto" => {
+                protos = args.value(|s| match s {
+                    "all" => Some(PROTOCOLS.to_vec()),
+                    p => p.parse().ok().map(|p| vec![p]),
+                })
+            }
+            "--depth" => base.depth = args.value(cli::parse),
+            "--max-schedules" => base.max_schedules = args.value(cli::parse),
+            "--cores" => base.cores = args.value(cli::cores),
+            "--insns" => base.insns_per_thread = args.value(cli::parse),
+            "--wseed" => base.wseed = args.value(cli::seed),
             "--no-oci" => base.oci = false,
-            "--inject-bug" => match it.next().and_then(|v| bug_by_name(v)) {
-                Some(b) => base.inject_bug = Some(b),
-                None => return usage(),
-            },
+            "--inject-bug" => base.inject_bug = Some(args.value(bug_by_name)),
             "--no-dpor" => base.dpor = false,
             "--compare" => compare = true,
-            _ => return usage(),
+            _ => args.usage(),
         }
     }
     let configs = protos
@@ -140,40 +112,23 @@ fn explore_main(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("explore") {
-        return explore_main(&args[1..]);
+    let mut args = Args::from_env(USAGE);
+    if args.take("explore") {
+        return explore_main(args);
     }
     let mut cases = DEFAULT_CASES;
     let mut seed = DEFAULT_SEED;
     let mut jobs = AUTO_JOBS;
     let mut replay: Option<FuzzCase> = None;
     let mut replay_sched: Option<ScheduleToken> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" | "--cases" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cases = n,
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = s,
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|v| sb_sim::parallel::parse_jobs(v)) {
-                Some(j) => jobs = j,
-                None => return usage(),
-            },
-            "--replay" => match it.next().and_then(|v| FuzzCase::parse(v)) {
-                Some(c) => replay = Some(c),
-                None => return usage(),
-            },
-            "--replay-schedule" => match it.next().and_then(|v| ScheduleToken::parse(v)) {
-                Some(t) => replay_sched = Some(t),
-                None => return usage(),
-            },
-            _ => return usage(),
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--smoke" | "--cases" => cases = args.value(cli::parse),
+            "--seed" => seed = args.value(cli::seed),
+            "--jobs" => jobs = args.value(cli::jobs),
+            "--replay" => replay = Some(args.value(FuzzCase::parse)),
+            "--replay-schedule" => replay_sched = Some(args.value(ScheduleToken::parse)),
+            _ => args.usage(),
         }
     }
 

@@ -62,7 +62,7 @@ use sb_sim::sched::{ChoiceSite, Scheduler};
 use sb_sim::{run_simulation_scheduled, InjectedBug, RunResult, SimConfig};
 use sb_workloads::AppProfile;
 
-use crate::{protocol_by_name, protocol_name, verify_result, PROTOCOLS};
+use crate::{protocol_name, verify_result, PROTOCOLS};
 
 /// Hard cap on recorded choice points per run: beyond this the recorder
 /// stops logging (choices default to 0 anyway), bounding memory on
@@ -400,8 +400,8 @@ impl ScheduleToken {
         if p.next()? != "v1" {
             return None;
         }
-        let protocol = protocol_by_name(p.next()?)?;
-        let cores = p.next()?.parse().ok()?;
+        let protocol = p.next()?.parse().ok()?;
+        let cores = sb_sim::cli::cores(p.next()?)?;
         let insns_per_thread = p.next()?.parse().ok()?;
         let wseed = p.next()?.parse().ok()?;
         let oci = match p.next()? {
@@ -737,6 +737,7 @@ mod tests {
             "v1:sb:3:120:2:1:-:1.x",
             "v1:sb:3:120:2:1:-:-:extra",
             "v1:sb:3:120:2:1:-",
+            "v1:sb:0:100:2:1:-:-",
         ] {
             assert_eq!(ScheduleToken::parse(garbage), None, "{garbage:?}");
         }

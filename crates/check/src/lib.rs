@@ -58,7 +58,8 @@ pub const PROTOCOLS: [ProtocolKind; 5] = [
     ProtocolKind::BulkSc,
 ];
 
-/// Short stable name used in replay triples.
+/// Short stable name used in replay triples; `ProtocolKind::from_str`
+/// parses it back.
 pub fn protocol_name(p: ProtocolKind) -> &'static str {
     match p {
         ProtocolKind::ScalableBulk => "sb",
@@ -67,13 +68,6 @@ pub fn protocol_name(p: ProtocolKind) -> &'static str {
         ProtocolKind::SeqTs => "seqts",
         ProtocolKind::BulkSc => "bulksc",
     }
-}
-
-/// Inverse of [`protocol_name`] (case-insensitive).
-pub fn protocol_by_name(s: &str) -> Option<ProtocolKind> {
-    PROTOCOLS
-        .into_iter()
-        .find(|p| protocol_name(*p).eq_ignore_ascii_case(s))
 }
 
 /// One fuzz case: everything needed to reproduce a run exactly.
@@ -124,7 +118,7 @@ impl FuzzCase {
         let mut parts = s.split(':');
         let workload_seed = parts.next()?.trim().parse().ok()?;
         let perturb_seed = parts.next()?.trim().parse().ok()?;
-        let protocol = protocol_by_name(parts.next()?.trim())?;
+        let protocol = parts.next()?.trim().parse().ok()?;
         if parts.next().is_some() {
             return None;
         }

@@ -65,10 +65,12 @@ fn replay_triples_round_trip_and_replay_deterministically() {
         assert_eq!(parsed, case);
         assert!(case.replay_command().contains(&case.to_string()));
     }
-    assert_eq!(
-        FuzzCase::parse("12:0:seqts").map(|c| c.protocol),
-        Some(ProtocolKind::SeqTs)
-    );
+    // Replay strings name protocols by `protocol_name`; `FromStr`
+    // parses every one of them back.
+    for p in PROTOCOLS {
+        let case = FuzzCase::parse(&format!("12:0:{}", protocol_name(p)));
+        assert_eq!(case.map(|c| c.protocol), Some(p));
+    }
     assert_eq!(FuzzCase::parse("12:0:nope"), None);
     assert_eq!(FuzzCase::parse("12:0"), None);
     assert_eq!(FuzzCase::parse("12:0:sb:extra"), None);

@@ -390,7 +390,6 @@ impl DirModule {
     /// The `g` returned to the leader: confirm the group, notify the
     /// processor, publish the W signature to the sharers (Figure 3(c-e)).
     fn confirm_leader(&mut self, view: &dyn MachineView, out: &mut Outbox<SbMsg>, tag: ChunkTag) {
-        self.trace(tag, "confirm_leader");
         self.groups_led += 1;
         let (req, attempt, targets) = {
             let e = self.cst.get_mut(tag).expect("leader entry");
@@ -609,19 +608,10 @@ impl DirModule {
         }
     }
 
-    fn trace(&self, tag: ChunkTag, what: &str) {
-        if let Some(t) = std::env::var_os("SB_TRACE_TAG") {
-            if t.to_string_lossy() == tag.to_string() {
-                eprintln!("[trace {}] {} at {}", tag, what, self.id);
-            }
-        }
-    }
-
     /// Fails the group of `tag` from this module: deallocate, notify every
     /// other member with `g failure`, and — if this module leads the group
     /// — send `commit failure` to the processor.
     fn fail_group(&mut self, out: &mut Outbox<SbMsg>, tag: ChunkTag) {
-        self.trace(tag, "fail_group(conflict/recall)");
         let e = self
             .remove_entry(out, tag)
             .expect("fail_group needs an entry");
@@ -652,7 +642,6 @@ impl DirModule {
         attempt: u32,
         prio_offset: u16,
     ) {
-        self.trace(req.tag, "fail_incoming(reservation)");
         self.record_failure(req.tag, attempt);
         out.event(ProtoEvent::GroupFailed { tag: req.tag });
         for m in req.g_vec.iter().filter(|m| *m != self.id) {

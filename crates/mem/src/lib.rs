@@ -7,9 +7,8 @@
 //! * participant identifiers ([`CoreId`], [`DirId`]) — the simulated machine
 //!   is a tiled multicore with one core, one L1/L2 pair and one directory
 //!   module per tile,
-//! * set-associative LRU caches with MSHRs ([`SetAssocCache`], [`MshrFile`],
-//!   [`CacheHierarchy`]: 32 KB/4-way write-through L1 + 512 KB/8-way
-//!   write-back L2),
+//! * set-associative LRU caches ([`SetAssocCache`], [`CacheHierarchy`]:
+//!   32 KB/4-way write-through L1 + 512 KB/8-way write-back L2),
 //! * first-touch virtual-page → directory-module mapping ([`PageMapper`]),
 //!   and
 //! * per-directory sharer state ([`DirectoryState`]) — the conventional
@@ -37,7 +36,6 @@ mod cache;
 mod dirstate;
 mod hierarchy;
 mod ids;
-mod mshr;
 mod page;
 
 pub use addr::{Addr, LineAddr, LineSet, PageAddr, LINE_BYTES, PAGE_BYTES};
@@ -45,5 +43,4 @@ pub use cache::{CacheConfig, SetAssocCache};
 pub use dirstate::{DirectoryState, ReadSource};
 pub use hierarchy::{CacheHierarchy, CacheHierarchyConfig, HitLevel};
 pub use ids::{CoreId, CoreSet, DirId, DirSet, MaskIter, TileSet, WideMask};
-pub use mshr::{MshrFile, MshrOutcome};
 pub use page::{PageMapPolicy, PageMapper};

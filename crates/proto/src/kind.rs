@@ -66,7 +66,7 @@ impl fmt::Display for ParseProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown protocol {:?}; expected one of scalablebulk, tcc, seq, bulksc",
+            "unknown protocol {:?}; expected one of scalablebulk, tcc, seq, seqts, bulksc",
             self.0
         )
     }
@@ -127,5 +127,6 @@ mod tests {
         assert!("mesi".parse::<ProtocolKind>().is_err());
         let err = "mesi".parse::<ProtocolKind>().unwrap_err();
         assert!(err.to_string().contains("mesi"));
+        assert!(err.to_string().contains("seqts"));
     }
 }

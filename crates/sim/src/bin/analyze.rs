@@ -31,18 +31,14 @@
 //! deltas; byte-identical inputs are guaranteed identical output.
 
 use sb_proto::ProtocolKind;
-use sb_sim::parallel::{parallel_map, AUTO_JOBS};
-use sb_sim::{commit_paths, run_simulation, Attribution, CommitPath, SegmentKind, SimConfig};
+use sb_sim::cli::{self, Args};
+use sb_sim::experiments::Sweep;
+use sb_sim::parallel::parallel_map;
+use sb_sim::{commit_paths, run_simulation, Attribution, CommitPath, ObsConfig, SegmentKind};
 use sb_workloads::AppProfile;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: analyze -- [--cores N] [--app NAME] [--proto P|all] \
-         [--insns N] [--seed S] [--top K] [--jobs N|auto]\n\
-         \x20      analyze -- --diff A.json B.json"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "analyze -- [--cores N] [--app NAME] [--proto P|all] [--insns N] [--seed S] \
+                     [--top K] [--jobs N|auto]\n       analyze -- --diff A.json B.json";
 
 /// `--diff` mode: compares two series reports and prints the run diff.
 fn diff_mode(path_a: &str, path_b: &str) -> ! {
@@ -67,86 +63,45 @@ fn diff_mode(path_a: &str, path_b: &str) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--diff") {
-        match (args.get(1), args.get(2), args.len()) {
-            (Some(a), Some(b), 3) => diff_mode(a, b),
-            _ => usage(),
+    let mut args = Args::from_env(USAGE);
+    if args.take("--diff") {
+        let (a, b): (String, String) = (args.value(cli::parse), args.value(cli::parse));
+        if args.next_arg().is_some() {
+            args.usage();
         }
+        diff_mode(&a, &b);
     }
     let mut cores: u16 = 64;
     let mut app = AppProfile::fft();
     let mut protos: Vec<ProtocolKind> = vec![ProtocolKind::ScalableBulk];
-    let mut insns: u64 = 10_000;
-    let mut seed: u64 = 0x5ca1ab1e;
+    let mut sweep = Sweep {
+        insns_per_thread: 10_000,
+        ..Sweep::default()
+    };
     let mut top: usize = 5;
-    let mut jobs: usize = AUTO_JOBS;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cores" => {
-                i += 1;
-                cores = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&c: &u16| c >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--app" => {
-                i += 1;
-                app = args
-                    .get(i)
-                    .and_then(|v| AppProfile::by_name(v))
-                    .unwrap_or_else(|| usage());
-            }
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--cores" => cores = args.value(cli::cores),
+            "--app" => app = args.value(AppProfile::by_name),
             "--proto" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("all") => protos = ProtocolKind::ALL.to_vec(),
-                    Some(p) => protos = vec![p.parse().unwrap_or_else(|_| usage())],
-                    None => usage(),
-                }
+                protos = args.value(|s| match s {
+                    "all" => Some(ProtocolKind::ALL.to_vec()),
+                    p => p.parse().ok().map(|p| vec![p]),
+                })
             }
-            "--insns" => {
-                i += 1;
-                insns = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--top" => {
-                i += 1;
-                top = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .and_then(|v| sb_sim::parallel::parse_jobs(v))
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
+            "--insns" => sweep.insns_per_thread = args.value(cli::parse),
+            "--seed" => sweep.seed = args.value(cli::seed),
+            "--top" => top = args.value(cli::parse),
+            "--jobs" => sweep.jobs = args.value(cli::jobs),
+            _ => args.usage(),
         }
-        i += 1;
     }
 
     // Runs fan out over workers; reports print in protocol order below.
-    let runs = parallel_map(&protos, jobs, |&proto| {
-        let mut cfg = SimConfig::paper_default(cores, app, proto);
-        cfg.insns_per_thread = insns;
-        cfg.seed = seed;
+    let runs = parallel_map(&protos, sweep.jobs, |&proto| {
+        let mut cfg = sweep.config(cores, app, proto);
         cfg.trace = true;
-        cfg.obs = sb_sim::ObsConfig::on();
+        cfg.obs = ObsConfig::on();
         run_simulation(&cfg)
     });
     for (&proto, r) in protos.iter().zip(&runs) {
@@ -159,8 +114,8 @@ fn main() {
         };
 
         println!(
-            "== {} on {cores} cores under {proto} ({insns} insns/thread, seed {seed:#x}) ==",
-            app.name
+            "== {} on {cores} cores under {proto} ({} insns/thread, seed {:#x}) ==",
+            app.name, sweep.insns_per_thread, sweep.seed
         );
         println!(
             "{} commits in {} wall cycles; commit latency mean {:.1}, p50 {}, p95 {}, p99 {}, max {}",

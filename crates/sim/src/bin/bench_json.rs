@@ -55,8 +55,10 @@
 use sb_net::Topology;
 use sb_obs::json::JsonValue;
 use sb_proto::ProtocolKind;
+use sb_sim::cli::{self, Args};
+use sb_sim::experiments::Sweep;
 use sb_sim::parallel::parallel_map;
-use sb_sim::{run_simulation, SimConfig};
+use sb_sim::run_simulation;
 use sb_workloads::AppProfile;
 
 struct Entry {
@@ -66,114 +68,48 @@ struct Entry {
     result: sb_sim::RunResult,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench_json [--out PATH] [--insns N] [--repeats R] [--cores LIST] \
-         [--fabrics LIST] [--protocols LIST] [--jobs N] [--compare BASELINE.json] \
-         [--max-regress PCT] [--profile] [--max-rss-mb MB]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "bench_json [--out PATH] [--insns N] [--repeats R] [--cores LIST] \
+                     [--fabrics LIST] [--protocols LIST] [--jobs N|auto] \
+                     [--compare BASELINE.json] [--max-regress PCT] [--profile] [--max-rss-mb MB]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(USAGE);
     let mut out_path = String::from("BENCH_throughput.json");
-    let mut insns: u64 = 10_000;
+    let mut sweep = Sweep {
+        insns_per_thread: 10_000,
+        jobs: 1,
+        ..Sweep::default()
+    };
     let mut repeats: u32 = 3;
     let mut compare: Option<String> = None;
     let mut max_regress: f64 = 15.0;
-    let mut jobs: usize = 1;
     let mut profile = false;
     let mut cores_list: Vec<u16> = vec![8, 32, 64];
     let mut fabrics: Vec<String> = vec!["torus".to_string()];
     let mut protocols: Vec<ProtocolKind> = ProtocolKind::ALL.to_vec();
     let mut max_rss_mb: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
             "--profile" => profile = true,
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            "--insns" => {
-                i += 1;
-                insns = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--repeats" => {
-                i += 1;
-                repeats = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--compare" => {
-                i += 1;
-                compare = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
+            "--out" => out_path = args.value(cli::parse),
+            "--insns" => sweep.insns_per_thread = args.value(cli::parse),
+            "--repeats" => repeats = args.value(cli::parse),
+            "--compare" => compare = Some(args.value(cli::parse)),
+            // A NaN or infinite threshold would pass every cell.
             "--max-regress" => {
-                i += 1;
-                max_regress = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                max_regress =
+                    args.value(|s| cli::parse(s).filter(|p: &f64| p.is_finite() && *p >= 0.0))
             }
-            "--jobs" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .and_then(|v| sb_sim::parallel::parse_jobs(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--cores" => {
-                i += 1;
-                cores_list = args
-                    .get(i)
-                    .and_then(|v| {
-                        v.split(',')
-                            .map(|c| c.trim().parse::<u16>().ok().filter(|&c| c >= 1))
-                            .collect()
-                    })
-                    .unwrap_or_else(|| usage());
-            }
-            "--fabrics" => {
-                i += 1;
-                fabrics = args
-                    .get(i)
-                    .map(|v| v.split(',').map(|f| f.trim().to_string()).collect())
-                    .filter(|fs: &Vec<String>| {
-                        fs.iter().all(|f| Topology::by_name(f, 64).is_some())
-                    })
-                    .unwrap_or_else(|| usage());
-            }
-            "--protocols" => {
-                i += 1;
-                protocols = args
-                    .get(i)
-                    .and_then(|v| {
-                        v.split(',')
-                            .map(|s| s.trim().parse::<ProtocolKind>().ok())
-                            .collect()
-                    })
-                    .unwrap_or_else(|| usage());
-            }
-            "--max-rss-mb" => {
-                i += 1;
-                max_rss_mb = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
+            "--jobs" => sweep.jobs = args.value(cli::jobs),
+            "--cores" => cores_list = args.value(|s| cli::list(s, cli::cores)),
+            "--fabrics" => fabrics = args.value(|s| cli::list(s, cli::parse)),
+            "--protocols" => protocols = args.value(|s| cli::list(s, cli::parse)),
+            "--max-rss-mb" => max_rss_mb = Some(args.value(cli::parse)),
+            _ => args.usage(),
         }
-        i += 1;
+    }
+    if !cli::fabrics_fit(&fabrics, &cores_list) {
+        args.usage();
     }
     let repeats = repeats.max(1);
     // The RSS gate reads `prof.peak_rss_bytes`, which only the
@@ -194,10 +130,9 @@ fn main() {
     // config are the fair wall-clock comparison); `--jobs` only spreads
     // distinct cells over workers. Entries come back in cell order, so
     // the JSON and log are byte-stable at any job count.
-    let entries: Vec<Entry> = parallel_map(&cells, jobs, |(cores, fabric, protocol)| {
+    let entries: Vec<Entry> = parallel_map(&cells, sweep.jobs, |(cores, fabric, protocol)| {
         let (cores, protocol) = (*cores, *protocol);
-        let mut cfg = SimConfig::paper_default(cores, AppProfile::fft(), protocol);
-        cfg.insns_per_thread = insns;
+        let mut cfg = sweep.config(cores, AppProfile::fft(), protocol);
         cfg.obs.profile = profile;
         cfg.set_topology(Topology::by_name(fabric, cores).expect("fabric validated at parse"));
         let mut best: Option<sb_sim::RunResult> = None;
@@ -235,7 +170,10 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"sim_throughput\",\n");
     json.push_str("  \"app\": \"fft\",\n");
-    json.push_str(&format!("  \"insns_per_thread\": {insns},\n"));
+    json.push_str(&format!(
+        "  \"insns_per_thread\": {},\n",
+        sweep.insns_per_thread
+    ));
     json.push_str(&format!("  \"repeats\": {repeats},\n"));
     json.push_str("  \"runs\": [\n");
     for (i, e) in entries.iter().enumerate() {
@@ -313,10 +251,7 @@ fn main() {
         }
     }
     json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("[bench] cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
+    cli::write_or_exit("bench", &out_path, &json);
     eprintln!("[bench] wrote {out_path}");
 
     if let Some(limit_mb) = max_rss_mb {

@@ -53,8 +53,8 @@
 
 use std::path::{Path, PathBuf};
 
-use sb_net::Topology;
 use sb_proto::ProtocolKind;
+use sb_sim::cli::{self, Args};
 use sb_sim::experiments::{self, RunCache, Sweep};
 use sb_sim::{ObsConfig, SimConfig};
 use sb_workloads::AppProfile;
@@ -83,20 +83,7 @@ const ALL_IDS: [&str; 20] = [
     "ext_seqts",
 ];
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: figures -- <table1|table2|table3|fig7..fig19|ablation_oci|ablation_sig|ablation_rotation|ext_seqts|scaling|all>... [--insns N] [--seed S] [--jobs N|auto] [--cores LIST] [--fabrics LIST] [--csv DIR] [--attribution] [--trace-out PATH] [--series-out PATH] [--series-window N]"
-    );
-    std::process::exit(2);
-}
-
-/// Writes `contents` to `path`, or exits 1 saying why it cannot.
-fn write_or_exit(path: &Path, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("[figures] cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-}
+const USAGE: &str = "figures -- <table1|table2|table3|fig7..fig19|ablation_oci|ablation_sig|ablation_rotation|ext_seqts|scaling|all>... [--insns N] [--seed S] [--jobs N|auto] [--cores LIST] [--fabrics LIST] [--csv DIR] [--attribution] [--trace-out PATH] [--series-out PATH] [--series-window N]";
 
 /// Runs each Table-3 protocol (64-core FFT) with causal tracing on and
 /// prints the obs-reconstructed Figure-7 breakdown plus the exact
@@ -155,7 +142,7 @@ fn trace_out(sweep: &Sweep, path: &Path) {
     use sb_sim::{perfetto_trace, run_simulation};
 
     let r = run_simulation(&observed_point(sweep));
-    write_or_exit(path, &perfetto_trace(&r).to_string_pretty());
+    cli::write_or_exit("figures", path, &perfetto_trace(&r).to_string_pretty());
     eprintln!(
         "[trace-out -> {} ({} commits, {} squashes)]",
         path.display(),
@@ -174,7 +161,7 @@ fn series_out(sweep: &Sweep, path: &Path, window: u64) {
     let r = run_simulation(&cfg);
     let w = series::configured_series_window(&cfg, &r);
     let report = sb_sim::series_report(&cfg, &r, w).expect("series report");
-    write_or_exit(path, &report.to_string_pretty());
+    cli::write_or_exit("figures", path, &report.to_string_pretty());
     eprintln!(
         "[series-out -> {} ({} windows of {} cycles)]",
         path.display(),
@@ -188,7 +175,7 @@ fn series_out(sweep: &Sweep, path: &Path, window: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(USAGE);
     let mut ids: Vec<String> = Vec::new();
     let mut sweep = Sweep::default();
     let mut csv_dir: Option<PathBuf> = None;
@@ -200,71 +187,20 @@ fn main() {
     // the paper's 64 and interconnect fabrics by Topology::by_name.
     let mut scaling_cores: Vec<u16> = vec![64, 128, 256];
     let mut scaling_fabrics: Vec<String> = vec!["torus".to_string()];
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
             "--attribution" => attribution = true,
-            "--trace-out" => {
-                i += 1;
-                trace_path = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            "--series-out" => {
-                i += 1;
-                series_path = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            "--series-window" => {
-                i += 1;
-                series_window = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            "--insns" => {
-                i += 1;
-                sweep.insns_per_thread = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                i += 1;
-                sweep.seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--jobs" => {
-                i += 1;
-                sweep.jobs = args
-                    .get(i)
-                    .and_then(|v| sb_sim::parallel::parse_jobs(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--cores" => {
-                i += 1;
-                scaling_cores = args
-                    .get(i)
-                    .and_then(|v| {
-                        v.split(',')
-                            .map(|c| c.trim().parse::<u16>().ok().filter(|&c| c >= 1))
-                            .collect()
-                    })
-                    .unwrap_or_else(|| usage());
-            }
-            "--fabrics" => {
-                i += 1;
-                scaling_fabrics = args
-                    .get(i)
-                    .map(|v| v.split(',').map(|f| f.trim().to_string()).collect())
-                    .unwrap_or_else(|| usage());
-            }
-            id => ids.push(id.to_string()),
+            "--trace-out" => trace_path = Some(args.value(cli::parse)),
+            "--series-out" => series_path = Some(args.value(cli::parse)),
+            "--series-window" => series_window = args.value(cli::parse),
+            "--csv" => csv_dir = Some(args.value(cli::parse)),
+            "--insns" => sweep.insns_per_thread = args.value(cli::parse),
+            "--seed" => sweep.seed = args.value(cli::seed),
+            "--jobs" => sweep.jobs = args.value(cli::jobs),
+            "--cores" => scaling_cores = args.value(|s| cli::list(s, cli::cores)),
+            "--fabrics" => scaling_fabrics = args.value(|s| cli::list(s, cli::parse)),
+            _ => ids.push(arg),
         }
-        i += 1;
     }
     if ids.iter().any(|i| i == "all") {
         ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
@@ -274,19 +210,13 @@ fn main() {
         .find(|id| *id != "scaling" && !ALL_IDS.contains(&id.as_str()))
     {
         eprintln!("unknown experiment id {bad:?}");
-        usage();
+        args.usage();
     }
     if ids.is_empty() && !attribution && trace_path.is_none() && series_path.is_none() {
-        usage();
+        args.usage();
     }
-    // Every fabric must exist and hold every swept core count.
-    let fits = |fabric: &String| {
-        scaling_cores
-            .iter()
-            .all(|&c| Topology::by_name(fabric, c).is_some_and(|t| t.tiles() >= c))
-    };
-    if !scaling_fabrics.iter().all(fits) {
-        usage();
+    if !cli::fabrics_fit(&scaling_fabrics, &scaling_cores) {
+        args.usage();
     }
     if let Some(dir) = &csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -408,7 +338,7 @@ fn main() {
         println!("{}", table.render());
         if let Some(dir) = &csv_dir {
             let path = dir.join(format!("{id}.csv"));
-            write_or_exit(&path, &table.to_csv());
+            cli::write_or_exit("figures", &path, &table.to_csv());
             eprintln!("[{} csv -> {}]", id, path.display());
         }
         eprintln!("[{} done in {:?}]", id, started.elapsed());

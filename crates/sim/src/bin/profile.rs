@@ -2,16 +2,18 @@
 //!
 //! ```text
 //! cargo run --release -p sb-sim --bin profile -- \
-//!     [--cores N] [--app NAME] [--proto P] [--insns N] [--seed S] [--out PATH]
+//!     [--cores N] [--app NAME] [--proto P] [--insns N] [--seed S] \
+//!     [--max-squash N] [--out PATH]
 //! ```
 //!
 //! Runs one simulation with `cfg.obs.profile` on (independent of the
 //! observability log — profiling alone allocates nothing per event) and
-//! prints where the *host* time went: core-unit (plane A) busy time and
-//! unit visits (units actually run, per dispatched event), hub-plane
-//! utilization, directory signature expansions and the lines they
-//! matched, the accesses the cores executed and how many of them were
-//! new to their chunk, the calendar queue's tier occupancy/overflow
+//! prints the run's headline metrics on one line, its message counts per
+//! traffic class, and where the *host* time went: core-unit (plane A)
+//! busy time and unit visits (units actually run, per dispatched event),
+//! hub-plane utilization, directory signature expansions and the lines
+//! they matched, the accesses the cores executed and how many of them
+//! were new to their chunk, the calendar queue's tier occupancy/overflow
 //! counters, and peak RSS.
 //!
 //! Profiling never touches simulated state: wall cycles and commits are
@@ -19,93 +21,81 @@
 //! pins this), and with `obs` fully off the run is byte-identical to an
 //! unprofiled one.
 //!
+//! `--max-squash N` sets ScalableBulk's starvation-reservation threshold
+//! (squashes before a chunk reserves its directories; default 16).
 //! `--out PATH` additionally writes the full metrics registry (simulated
 //! counters + `prof.*` fields) as canonical JSON for CI artifacts.
 
+use sb_net::TrafficClass::*;
+use sb_obs::json::JsonValue;
 use sb_proto::ProtocolKind;
-use sb_sim::{run_simulation, SimConfig};
+use sb_sim::cli::{self, Args};
+use sb_sim::experiments::Sweep;
+use sb_sim::run_simulation;
 use sb_workloads::AppProfile;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: profile -- [--cores N] [--app NAME] [--proto P] [--insns N] \
-         [--seed S] [--out PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "profile -- [--cores N] [--app NAME] [--proto P] [--insns N] [--seed S] \
+                     [--max-squash N] [--out PATH]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(USAGE);
     let mut cores: u16 = 64;
     let mut app = AppProfile::fft();
     let mut proto = ProtocolKind::ScalableBulk;
-    let mut insns: u64 = 10_000;
-    let mut seed: u64 = 0x5ca1ab1e;
+    let mut sweep = Sweep {
+        insns_per_thread: 10_000,
+        ..Sweep::default()
+    };
+    let mut max_squash: Option<u32> = None;
     let mut out: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cores" => {
-                i += 1;
-                cores = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&c: &u16| c >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--app" => {
-                i += 1;
-                app = args
-                    .get(i)
-                    .and_then(|v| AppProfile::by_name(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--proto" => {
-                i += 1;
-                proto = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--insns" => {
-                i += 1;
-                insns = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            _ => usage(),
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--cores" => cores = args.value(cli::cores),
+            "--app" => app = args.value(AppProfile::by_name),
+            "--proto" => proto = args.value(cli::parse),
+            "--insns" => sweep.insns_per_thread = args.value(cli::parse),
+            "--seed" => sweep.seed = args.value(cli::seed),
+            "--max-squash" => max_squash = Some(args.value(cli::parse)),
+            "--out" => out = Some(args.value(cli::parse)),
+            _ => args.usage(),
         }
-        i += 1;
     }
 
-    let mut cfg = SimConfig::paper_default(cores, app, proto);
-    cfg.insns_per_thread = insns;
-    cfg.seed = seed;
+    let mut cfg = sweep.config(cores, app, proto);
     cfg.obs.profile = true;
+    if let Some(n) = max_squash {
+        cfg.sb.max_squashes_before_reservation = n;
+    }
     let r = run_simulation(&cfg);
     let m = &r.metrics;
     let c = |name: &str| m.counter(name).unwrap_or(0);
     let g = |name: &str| m.gauge(name).unwrap_or(0.0);
 
     println!(
-        "== executor profile: {} on {cores} cores under {proto} ({insns} insns/thread, seed {seed:#x}) ==",
-        app.name
+        "== executor profile: {} on {cores} cores under {proto} ({} insns/thread, seed {:#x}) ==",
+        app.name, sweep.insns_per_thread, sweep.seed
     );
     println!(
         "simulated: {} commits in {} wall cycles (bit-identical with profiling off)",
         r.commits, r.wall_cycles
+    );
+    println!(
+        "{} {proto} cores={cores} wall={} commits={} lat={:.1} dW={:.2} dR={:.2} br={:.2} q={:.2} sq={:.4} nacks={} u%={:.2} c%={:.2} co%={:.3} s%={:.4} msgs={} rr={}",
+        app.name, r.wall_cycles, r.commits, r.latency.mean(),
+        r.dirs.mean_write_group(), r.dirs.mean_read_group(),
+        r.gauges.bottleneck_ratio(), r.gauges.mean_queue_length(),
+        r.squash_rate(), r.read_nacks,
+        r.breakdown.fraction_useful(), r.breakdown.fraction_cache_miss(),
+        r.breakdown.fraction_commit(), r.breakdown.fraction_squash(),
+        r.traffic.total_messages(), r.remote_reads
+    );
+    println!(
+        "  classes: MemRd={} ShRd={} DirtyRd={} Large={} SmallC={}",
+        r.traffic.count(MemRd),
+        r.traffic.count(RemoteShRd),
+        r.traffic.count(RemoteDirtyRd),
+        r.traffic.count(LargeCMessage),
+        r.traffic.count(SmallCMessage)
     );
     println!("host:      {}", r.perf.render());
     println!();
@@ -159,29 +149,31 @@ fn main() {
     }
 
     if let Some(path) = out {
-        let mut doc = sb_obs::json::JsonValue::obj([
+        let doc = JsonValue::obj([
             (
                 "meta",
-                sb_obs::json::JsonValue::obj([
+                JsonValue::obj([
                     ("protocol", format!("{proto:?}").into()),
                     ("app", app.name.into()),
                     ("cores", (cores as u64).into()),
-                    ("insns_per_thread", insns.into()),
-                    ("seed", seed.into()),
+                    ("insns_per_thread", sweep.insns_per_thread.into()),
+                    ("seed", sweep.seed.into()),
+                    (
+                        "max_squashes_before_reservation",
+                        u64::from(cfg.sb.max_squashes_before_reservation).into(),
+                    ),
                 ]),
             ),
             (
                 "simulated",
-                sb_obs::json::JsonValue::obj([
+                JsonValue::obj([
                     ("wall_cycles", r.wall_cycles.into()),
                     ("commits", r.commits.into()),
                 ]),
             ),
+            ("metrics", m.to_json()),
         ]);
-        if let sb_obs::json::JsonValue::Object(members) = &mut doc {
-            members.push(("metrics".to_string(), m.to_json()));
-        }
-        std::fs::write(&path, doc.to_string_pretty()).expect("write profile json");
+        cli::write_or_exit("profile", &path, &doc.to_string_pretty());
         eprintln!("[profile -> {}]", path.display());
     }
 }

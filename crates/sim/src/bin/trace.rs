@@ -23,105 +23,54 @@
 //! window width in simulated cycles (default: ~64 windows over the run).
 
 use sb_proto::ProtocolKind;
-use sb_sim::{perfetto_trace, run_simulation, verify_observability, SimConfig};
+use sb_sim::cli::{self, Args};
+use sb_sim::experiments::Sweep;
+use sb_sim::{perfetto_trace, run_simulation, verify_observability};
 use sb_workloads::AppProfile;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace -- [--out PATH] [--metrics-out PATH] [--cores N] \
-         [--app NAME] [--proto P] [--insns N] [--seed S] [--series] \
-         [--series-out PATH] [--series-window N] [--validate]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "trace -- [--out PATH] [--metrics-out PATH] [--cores N] [--app NAME] \
+                     [--proto P] [--insns N] [--seed S] [--series] [--series-out PATH] \
+                     [--series-window N] [--validate]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(USAGE);
     let mut out = String::from("trace.json");
     let mut metrics_out: Option<String> = None;
     let mut cores: u16 = 4;
     let mut app = AppProfile::fft();
     let mut proto = ProtocolKind::ScalableBulk;
-    let mut insns: u64 = 6_000;
-    let mut seed: u64 = 0x5ca1ab1e;
+    let mut sweep = Sweep {
+        insns_per_thread: 6_000,
+        ..Sweep::default()
+    };
     let mut validate = false;
     let mut series = false;
     let mut series_out: Option<String> = None;
     let mut series_window: u64 = 0;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
             "--series" => series = true,
-            "--series-out" => {
-                i += 1;
-                series_out = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--series-window" => {
-                i += 1;
-                series_window = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                i += 1;
-                out = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--cores" => {
-                i += 1;
-                cores = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&c: &u16| c >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--app" => {
-                i += 1;
-                app = args
-                    .get(i)
-                    .and_then(|v| AppProfile::by_name(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--proto" => {
-                i += 1;
-                proto = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--insns" => {
-                i += 1;
-                insns = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+            "--series-out" => series_out = Some(args.value(cli::parse)),
+            "--series-window" => series_window = args.value(cli::parse),
+            "--out" => out = args.value(cli::parse),
+            "--metrics-out" => metrics_out = Some(args.value(cli::parse)),
+            "--cores" => cores = args.value(cli::cores),
+            "--app" => app = args.value(AppProfile::by_name),
+            "--proto" => proto = args.value(cli::parse),
+            "--insns" => sweep.insns_per_thread = args.value(cli::parse),
+            "--seed" => sweep.seed = args.value(cli::seed),
             "--validate" => validate = true,
-            _ => usage(),
+            _ => args.usage(),
         }
-        i += 1;
     }
 
-    let mut cfg = SimConfig::paper_default(cores, app, proto);
-    cfg.insns_per_thread = insns;
-    cfg.seed = seed;
+    let mut cfg = sweep.config(cores, app, proto);
     cfg.trace = true;
     cfg.obs = sb_sim::ObsConfig::on();
     cfg.obs.series_window = series_window;
     eprintln!(
-        "[trace] {} on {cores} cores under {proto}, {insns} insns/thread, seed {seed:#x}",
-        cfg.app.name
+        "[trace] {} on {cores} cores under {proto}, {} insns/thread, seed {:#x}",
+        app.name, sweep.insns_per_thread, sweep.seed
     );
     let r = run_simulation(&cfg);
     eprintln!(
@@ -153,17 +102,11 @@ fn main() {
         .get("traceEvents")
         .and_then(|e| e.as_array())
         .map_or(0, |e| e.len());
-    if let Err(e) = std::fs::write(&out, json.to_string_pretty()) {
-        eprintln!("[trace] cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    cli::write_or_exit("trace", &out, &json.to_string_pretty());
     eprintln!("[trace] wrote {out} ({n_events} events)");
 
     if let Some(path) = metrics_out {
-        if let Err(e) = std::fs::write(&path, r.metrics.to_json().to_string_pretty()) {
-            eprintln!("[trace] cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_exit("trace", &path, &r.metrics.to_json().to_string_pretty());
         eprintln!("[trace] wrote {path} ({} metrics)", r.metrics.len());
     }
 
@@ -175,10 +118,7 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        if let Err(e) = std::fs::write(&path, report.to_string_pretty()) {
-            eprintln!("[trace] cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_exit("trace", &path, &report.to_string_pretty());
         eprintln!("[trace] wrote {path} (window {window} cycles)");
     }
 }

@@ -22,10 +22,12 @@
 //! * [`experiments`] — one function per paper figure/table, returning
 //!   printable tables; the `figures` binary exposes them on the command
 //!   line.
+//! * [`cli`] — the argument cursor and value parsers every binary shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 mod config;
 pub mod critical_path;
 pub mod experiments;

@@ -429,7 +429,6 @@ struct CoreUnit {
     squash_conflict: u64,
     squash_alias: u64,
     commit_retries: u64,
-    outcome_failures: u64,
     latency: LatencyDist,
     dirs_stat: DirsPerCommit,
     supports_held_invs: bool,
@@ -894,7 +893,6 @@ impl CoreUnit {
             self.process_held_invs(rec);
             self.resume_after_window_change(t, rec);
         } else {
-            self.outcome_failures += 1;
             let mut backoff = None;
             {
                 let c = &mut self.ctx;
@@ -2001,7 +1999,6 @@ impl<P: CommitProtocol> Machine<P> {
                     squash_conflict: 0,
                     squash_alias: 0,
                     commit_retries: 0,
-                    outcome_failures: 0,
                     latency: LatencyDist::new(),
                     dirs_stat: DirsPerCommit::new(),
                     supports_held_invs: held_ok,
@@ -2097,8 +2094,6 @@ impl<P: CommitProtocol> Machine<P> {
         let total = self.units.len();
         let profile = self.cfg.obs.profile;
         let mut finished = self.units.iter().filter(|u| u.finish_reported).count();
-        let progress = std::env::var_os("SB_SIM_PROGRESS").is_some();
-        let mut next_report = 5_000_000u64;
         // Active-unit index: the time of each unit's earliest pending
         // event (`Cycle::MAX` when idle). Refreshed after the unit runs
         // and lowered when hub mail lands, so G, the hub horizon and the
@@ -2173,23 +2168,6 @@ impl<P: CommitProtocol> Machine<P> {
                 self.units[core as usize].queue.push(at, ev);
                 let next = &mut next_at[core as usize];
                 *next = (*next).min(at);
-            }
-            if progress {
-                let ev: u64 = self.units.iter().map(|u| u.events).sum::<u64>() + self.hub.events;
-                if ev >= next_report {
-                    eprintln!(
-                        "[progress] ev={}M now={} finished={}/{} commits={} fails={} nacks={} inflight={}",
-                        ev / 1_000_000,
-                        self.hub.now,
-                        finished,
-                        total,
-                        self.units.iter().map(|u| u.commits).sum::<u64>(),
-                        self.units.iter().map(|u| u.outcome_failures).sum::<u64>(),
-                        self.hub.read_nacks,
-                        self.hub.proto.in_flight(),
-                    );
-                    next_report = ev + 5_000_000;
-                }
             }
         }
         false

@@ -100,15 +100,6 @@ where
         .collect()
 }
 
-/// Parses a `--jobs` command-line value: a positive integer, or `auto`
-/// for [`AUTO_JOBS`].
-pub fn parse_jobs(v: &str) -> Option<usize> {
-    if v == "auto" {
-        return Some(AUTO_JOBS);
-    }
-    v.parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,16 +131,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(parallel_map(&empty, 8, |x| *x).is_empty());
         assert_eq!(parallel_map(&[41u32], AUTO_JOBS, |x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn jobs_parsing() {
-        assert_eq!(parse_jobs("auto"), Some(AUTO_JOBS));
-        assert_eq!(parse_jobs("1"), Some(1));
-        assert_eq!(parse_jobs("12"), Some(12));
-        assert_eq!(parse_jobs("0"), None);
-        assert_eq!(parse_jobs("-3"), None);
-        assert_eq!(parse_jobs("fast"), None);
     }
 
     #[test]

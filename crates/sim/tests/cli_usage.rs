@@ -2,113 +2,149 @@
 //! (after printing usage) instead of panicking with status 101. An
 //! output path that cannot be written exits 1 with a message.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+const PROFILE: &str = env!("CARGO_BIN_EXE_profile");
+const TRACE: &str = env!("CARGO_BIN_EXE_trace");
+const ANALYZE: &str = env!("CARGO_BIN_EXE_analyze");
+const BENCH_JSON: &str = env!("CARGO_BIN_EXE_bench_json");
+const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
+
+/// Every value-taking flag of every binary: the binary, the arguments
+/// before the flag, the flag, and values it must reject (none for a
+/// path, which any string names). `figures` runs `table1`, which takes
+/// milliseconds, so only the flag can fail it.
+const FLAGS: &[(&str, &[&str], &str, &[&str])] = &[
+    (PROFILE, &[], "--cores", &["0", "x"]),
+    (PROFILE, &[], "--app", &["NOAPP"]),
+    (PROFILE, &[], "--proto", &["bogus"]),
+    (PROFILE, &[], "--insns", &["x"]),
+    (PROFILE, &[], "--seed", &["x", "0xg"]),
+    (PROFILE, &[], "--max-squash", &["x", "-1"]),
+    (PROFILE, &[], "--out", &[]),
+    (TRACE, &[], "--out", &[]),
+    (TRACE, &[], "--metrics-out", &[]),
+    (TRACE, &[], "--cores", &["0", "x"]),
+    (TRACE, &[], "--app", &["NOAPP"]),
+    (TRACE, &[], "--proto", &["bogus"]),
+    (TRACE, &[], "--insns", &["x"]),
+    (TRACE, &[], "--seed", &["x"]),
+    (TRACE, &[], "--series-out", &[]),
+    (TRACE, &[], "--series-window", &["x"]),
+    (ANALYZE, &[], "--cores", &["0", "x"]),
+    (ANALYZE, &[], "--app", &["NOAPP"]),
+    (ANALYZE, &[], "--proto", &["bogus"]),
+    (ANALYZE, &[], "--insns", &["x"]),
+    (ANALYZE, &[], "--seed", &["x"]),
+    (ANALYZE, &[], "--top", &["x"]),
+    (ANALYZE, &[], "--jobs", &["0", "x"]),
+    (ANALYZE, &[], "--diff", &[]),
+    (BENCH_JSON, &[], "--out", &[]),
+    (BENCH_JSON, &[], "--insns", &["x"]),
+    (BENCH_JSON, &[], "--repeats", &["x"]),
+    (BENCH_JSON, &[], "--compare", &[]),
+    (BENCH_JSON, &[], "--max-regress", &["x", "nan", "inf", "-5"]),
+    (BENCH_JSON, &[], "--jobs", &["0", "x"]),
+    (BENCH_JSON, &[], "--cores", &["0", "x", "8,0"]),
+    (BENCH_JSON, &[], "--fabrics", &["bogus", "torus,bogus"]),
+    (BENCH_JSON, &[], "--protocols", &["bogus", "sb,bogus"]),
+    (BENCH_JSON, &[], "--max-rss-mb", &["x"]),
+    (FIGURES, &["table1"], "--insns", &["x"]),
+    (FIGURES, &["table1"], "--seed", &["x"]),
+    (FIGURES, &["table1"], "--jobs", &["0", "x"]),
+    (FIGURES, &["table1"], "--cores", &["0", "8,x"]),
+    (FIGURES, &["table1"], "--fabrics", &["bogus", "torus,bogus"]),
+    (FIGURES, &["table1"], "--csv", &[]),
+    (FIGURES, &["table1"], "--trace-out", &[]),
+    (FIGURES, &["table1"], "--series-out", &[]),
+    (FIGURES, &["table1"], "--series-window", &["x"]),
+];
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"))
+}
 
 /// Runs `bin` with `args` and asserts it exits with the usage status.
 fn assert_usage_exit(bin: &str, args: &[&str]) {
-    let out = Command::new(bin)
-        .args(args)
-        .output()
-        .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
+    let out = run(bin, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
         Some(2),
-        "{bin} {args:?}: expected a usage error, got {:?}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
+        "{bin} {args:?}: expected a usage error, got {:?}\n{stderr}",
+        out.status
     );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("usage"),
-        "{bin} {args:?} printed no usage"
-    );
+    assert!(stderr.contains("usage"), "{bin} {args:?} printed no usage");
 }
 
 #[test]
-fn zero_cores_is_a_usage_error() {
-    for bin in [
-        env!("CARGO_BIN_EXE_profile"),
-        env!("CARGO_BIN_EXE_trace"),
-        env!("CARGO_BIN_EXE_analyze"),
-        env!("CARGO_BIN_EXE_bench_json"),
-    ] {
-        assert_usage_exit(bin, &["--cores", "0"]);
-    }
-}
-
-#[test]
-fn bench_json_rejects_malformed_values() {
-    let bin = env!("CARGO_BIN_EXE_bench_json");
-    for args in [
-        &["--cores", "x"][..],
-        &["--cores", "8,0"],
-        &["--insns", "x"],
-        &["--repeats", "x"],
-        &["--max-rss-mb", "x"],
-        &["--max-regress", "x"],
-        &["--fabrics", "bogus"],
-        &["--fabrics", "torus,bogus"],
-        &["--protocols", "bogus"],
-        &["--jobs", "x"],
-        &["--out"],
-        &["--compare"],
-    ] {
-        assert_usage_exit(bin, args);
-    }
-}
-
-#[test]
-fn missing_values_are_usage_errors() {
-    for bin in [
-        env!("CARGO_BIN_EXE_profile"),
-        env!("CARGO_BIN_EXE_trace"),
-        env!("CARGO_BIN_EXE_analyze"),
-    ] {
-        for args in [&["--cores"][..], &["--cores", "x"], &["--insns", "x"]] {
-            assert_usage_exit(bin, args);
+fn missing_and_unparsable_values_are_usage_errors() {
+    for &(bin, before, flag, bad_values) in FLAGS {
+        let mut args = before.to_vec();
+        args.push(flag);
+        assert_usage_exit(bin, &args);
+        for bad in bad_values {
+            args.push(bad);
+            assert_usage_exit(bin, &args);
+            args.pop();
         }
     }
 }
 
 #[test]
-fn calib_rejects_bad_positionals() {
-    let bin = env!("CARGO_BIN_EXE_calib");
-    for args in [&["FFT", "bogus"][..], &["FFT", "sb", "x"], &["NOAPP"]] {
-        assert_usage_exit(bin, args);
-    }
-}
-
-#[test]
-fn figures_rejects_malformed_values() {
-    let bin = env!("CARGO_BIN_EXE_figures");
-    // `table1` runs in milliseconds, so only the bad value can fail it.
-    for args in [
-        &["table1", "--insns", "x"][..],
-        &["table1", "--jobs", "0"],
-        &["table1", "--timing"],
-        &["table1", "fig99"],
-        &["scaling", "--fabrics", "bogus"],
-        &["scaling", "--fabrics", "torus,bogus"],
+fn unknown_flags_and_ids_are_usage_errors() {
+    for (bin, args) in [
+        (PROFILE, &["--bogus"][..]),
+        (TRACE, &["--bogus"]),
+        (ANALYZE, &["--diff", "a.json"]),
+        (ANALYZE, &["--diff", "a.json", "b.json", "c.json"]),
+        (BENCH_JSON, &["--domains", "2"]),
+        (FIGURES, &[]),
+        (FIGURES, &["table1", "--timing"]),
+        (FIGURES, &["table1", "fig99"]),
     ] {
         assert_usage_exit(bin, args);
     }
 }
 
 #[test]
-fn figures_reports_unwritable_outputs() {
-    let bin = env!("CARGO_BIN_EXE_figures");
+fn unwritable_outputs_exit_1() {
     // A path below a regular file can be neither created nor written.
     let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
-    for args in [
-        &["table1", "--csv", bad][..],
-        &["--trace-out", bad, "--insns", "500"],
-        &["--series-out", bad, "--insns", "500"],
+    for (bin, args) in [
+        (FIGURES, &["table1", "--csv", bad][..]),
+        (FIGURES, &["--trace-out", bad, "--insns", "500"]),
+        (FIGURES, &["--series-out", bad, "--insns", "500"]),
+        (PROFILE, &["--out", bad, "--cores", "4", "--insns", "500"]),
+        (TRACE, &["--out", bad, "--cores", "4", "--insns", "500"]),
+        (
+            BENCH_JSON,
+            &["--out", bad, "--cores", "4", "--insns", "500"],
+        ),
     ] {
-        let out = Command::new(bin).args(args).output().unwrap();
+        let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "figures {args:?}: {stderr}");
-        assert!(
-            stderr.contains("cannot write"),
-            "figures {args:?}: {stderr}"
-        );
+        assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains("cannot write"), "{bin} {args:?}: {stderr}");
     }
+}
+
+/// Every binary prints its seed in hex; that hex parses back to the
+/// same run as its decimal value.
+#[test]
+fn hex_and_decimal_seeds_give_identical_runs() {
+    let analyze = |seed| {
+        let args = [
+            "--cores", "4", "--insns", "500", "--jobs", "1", "--seed", seed,
+        ];
+        let out = run(ANALYZE, &args);
+        assert!(out.status.success(), "analyze {args:?}");
+        out.stdout
+    };
+    let hex = analyze("0x2a");
+    assert!(String::from_utf8_lossy(&hex).contains("seed 0x2a"));
+    assert_eq!(hex, analyze("42"));
 }

@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`engine`] | `sb-engine` | deterministic discrete-event kernel |
 //! | [`sigs`] | `sb-sigs` | Bulk-style hardware address signatures |
-//! | [`mem`] | `sb-mem` | caches, MSHRs, page mapping, directory state |
+//! | [`mem`] | `sb-mem` | caches, page mapping, directory state |
 //! | [`net`] | `sb-net` | 2D-torus interconnect and traffic classes |
 //! | [`chunks`] | `sb-chunks` | chunk model and per-core chunk window |
 //! | [`proto`] | `sb-proto` | the protocol seam + deterministic test fabric |
