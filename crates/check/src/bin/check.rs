@@ -92,7 +92,9 @@ fn explore_main(mut args: Args) -> ExitCode {
             "--depth" => base.depth = args.value(cli::parse),
             "--max-schedules" => base.max_schedules = args.value(cli::parse),
             "--cores" => base.cores = args.value(cli::cores),
-            "--insns" => base.insns_per_thread = args.value(cli::parse),
+            "--insns" => {
+                base.insns_per_thread = args.value(|s| cli::parse(s).filter(|&n: &u64| n >= 1))
+            }
             "--wseed" => base.wseed = args.value(cli::seed),
             "--no-oci" => base.oci = false,
             "--inject-bug" => base.inject_bug = Some(args.value(bug_by_name)),

@@ -34,14 +34,13 @@
 //! already generated with a smaller first index. The report counts what
 //! this prunes versus naive enumeration.
 //!
-//! ## Oracles
+//! ## Oracle
 //!
-//! Every terminal state runs the full fuzzer oracle
-//! ([`verify_result`]: serializability, lifecycle discipline,
-//! observability reconciliation) plus explore-specific step-wise
-//! invariants ([`verify_explore`]): exclusive directory occupancy at
-//! every point of the obs stream, and no commit left stuck in flight. A
-//! machine panic (the deadlock detector) is a violation, not a crash.
+//! Every terminal state is one checked run, judged by the fuzzer's
+//! oracle ([`verify_result`](crate::verify_result)): serializability,
+//! progress and in-flight cleanup, plus exec-span closure and directory
+//! grab/release balance over the whole obs stream. A machine panic (the
+//! deadlock detector) is a violation, not a crash.
 //!
 //! ## Counterexamples
 //!
@@ -55,14 +54,13 @@
 //! ```
 
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
 
 use sb_proto::{ChoiceMeta, ProtocolKind};
 use sb_sim::sched::{ChoiceSite, Scheduler};
-use sb_sim::{run_simulation_scheduled, InjectedBug, RunResult, SimConfig};
+use sb_sim::{run_simulation_scheduled, InjectedBug, SimConfig};
 use sb_workloads::AppProfile;
 
-use crate::{protocol_name, verify_result, PROTOCOLS};
+use crate::{protocol_name, run_checked, CaseReport};
 
 /// Hard cap on recorded choice points per run: beyond this the recorder
 /// stops logging (choices default to 0 anyway), bounding memory on
@@ -209,123 +207,14 @@ impl Scheduler for Recorder<'_> {
     }
 }
 
-/// Outcome of a single scheduled run.
-struct RunOutcome {
-    /// Recorded choice points (in consultation order).
-    log: Vec<ChoicePoint>,
-    /// Oracle + invariant violations; empty = run passed.
-    violations: Vec<String>,
-    /// Trace fingerprint (0 on panic).
-    fingerprint: u64,
-}
-
-/// Runs one schedule: the machine under `prefix`-forced choices, then
-/// the full oracle stack. A panic (deadlock detector, internal
-/// assertion) is reported as a violation with an empty log — the
-/// choices that led there are exactly `prefix`.
-fn run_schedule(cfg: &ExploreConfig, prefix: &[u16]) -> RunOutcome {
+/// Runs one schedule: the machine under `prefix`-forced choices, checked
+/// by the fuzzer's oracle, with the choice points it consulted. After a
+/// panic the log ends where the run stopped.
+fn run_schedule(cfg: &ExploreConfig, prefix: &[u16]) -> (CaseReport, Vec<ChoicePoint>) {
     let sim = cfg.sim_config();
     let mut rec = Recorder::new(prefix, cfg.dpor);
-    match panic::catch_unwind(AssertUnwindSafe(|| {
-        run_simulation_scheduled(&sim, &mut rec)
-    })) {
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic payload");
-            RunOutcome {
-                log: rec.log,
-                violations: vec![format!("machine panicked: {msg}")],
-                fingerprint: 0,
-            }
-        }
-        Ok(r) => {
-            let mut violations = verify_result(&r);
-            violations.extend(verify_explore(&r));
-            RunOutcome {
-                log: rec.log,
-                violations,
-                fingerprint: r.trace.as_ref().map(|t| t.fingerprint()).unwrap_or(0),
-            }
-        }
-    }
-}
-
-/// Explore-specific step-wise invariants, checked over the obs stream
-/// on top of the fuzzer oracle:
-///
-/// * **occupancy balance** — walked at every step: a chunk never grabs
-///   a directory it already holds, never releases one it does not hold,
-///   and *unconditionally* holds nothing once the run terminates (the
-///   fuzzer oracle only checks the leak when the in-flight table
-///   drained, which a stuck commit would mask). A directory may be
-///   legitimately held by several non-conflicting commits at once —
-///   overlapped group formation is the protocol's point — so occupancy
-///   is a balanced multiset, not a mutex;
-/// * **no stuck in-flight commit** — every chunk that opened a commit
-///   (a `CommitStart` flow) reached a terminal `ChunkDone` state.
-pub fn verify_explore(r: &RunResult) -> Vec<String> {
-    use std::collections::BTreeSet;
-
-    use sb_sim::{FlowKind, ObsKind};
-
-    let mut v = Vec::new();
-    let Some(obs) = r.obs.as_ref() else {
-        return vec!["run carries no observability log; enable SimConfig::obs".into()];
-    };
-
-    // Occupancy balance, walked step-wise.
-    let mut held: BTreeSet<(u16, sb_chunks::ChunkTag)> = BTreeSet::new();
-    for (i, e) in obs.events.iter().enumerate() {
-        match e.kind {
-            ObsKind::DirGrabbed { dir, tag } if !held.insert((dir.0, tag)) => {
-                v.push(format!(
-                    "obs event {i}: dir {} grabbed for {tag} while already held",
-                    dir.0
-                ));
-            }
-            ObsKind::DirReleased { dir, tag } if !held.remove(&(dir.0, tag)) => {
-                v.push(format!(
-                    "obs event {i}: dir {} released by {tag} without a grab",
-                    dir.0
-                ));
-            }
-            _ => {}
-        }
-    }
-    for (dir, tag) in &held {
-        v.push(format!(
-            "dir {dir}: still grabbed by {tag} when the run terminated"
-        ));
-    }
-
-    // Stuck in-flight commits.
-    let done: BTreeSet<sb_chunks::ChunkTag> = obs
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            ObsKind::ChunkDone { tag, .. } => Some(tag),
-            _ => None,
-        })
-        .collect();
-    let mut stuck: BTreeSet<sb_chunks::ChunkTag> = BTreeSet::new();
-    for f in &obs.flows {
-        if f.kind == FlowKind::CommitStart {
-            if let Some(tag) = f.tag {
-                if !done.contains(&tag) {
-                    stuck.insert(tag);
-                }
-            }
-        }
-    }
-    for tag in stuck {
-        v.push(format!(
-            "chunk {tag} opened a commit but never reached a terminal state"
-        ));
-    }
-    v
+    let report = run_checked(|| run_simulation_scheduled(&sim, &mut rec));
+    (report, rec.log)
 }
 
 /// A replayable schedule: the exploration config plus the choice
@@ -402,7 +291,7 @@ impl ScheduleToken {
         }
         let protocol = p.next()?.parse().ok()?;
         let cores = sb_sim::cli::cores(p.next()?)?;
-        let insns_per_thread = p.next()?.parse().ok()?;
+        let insns_per_thread = p.next()?.parse().ok().filter(|&n: &u64| n >= 1)?;
         let wseed = p.next()?.parse().ok()?;
         let oci = match p.next()? {
             "0" => false,
@@ -469,30 +358,10 @@ impl ScheduleToken {
     }
 }
 
-/// Verdict of replaying one schedule token through the normal machine.
-#[derive(Clone, Debug)]
-pub struct ReplayReport {
-    /// Trace fingerprint (0 on panic).
-    pub fingerprint: u64,
-    /// Oracle + invariant violations; empty = the schedule passes.
-    pub violations: Vec<String>,
-}
-
-impl ReplayReport {
-    /// Whether the schedule passed all checks.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
 /// Replays one schedule token exactly: same machine, same forced
-/// choices, full oracle stack.
-pub fn replay_schedule(token: &ScheduleToken) -> ReplayReport {
-    let out = run_schedule(&token.explore_config(), &token.choices);
-    ReplayReport {
-        fingerprint: out.fingerprint,
-        violations: out.violations,
-    }
+/// choices, same oracle.
+pub fn replay_schedule(token: &ScheduleToken) -> CaseReport {
+    run_schedule(&token.explore_config(), &token.choices).0
 }
 
 /// A minimized counterexample with the search context it fell out of.
@@ -622,13 +491,13 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
             report.exhausted = false;
             break;
         }
-        let out = run_schedule(cfg, &prefix);
+        let (out, log) = run_schedule(cfg, &prefix);
         report.schedules += 1;
-        report.choice_points += out.log.len() as u64;
+        report.choice_points += log.len() as u64;
         if traces.insert(out.fingerprint) {
             report.distinct_traces += 1;
         }
-        if !out.violations.is_empty() {
+        if !out.passed() {
             report.counterexample = Some(minimize(cfg, prefix, out.violations));
             break;
         }
@@ -636,9 +505,9 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
         // prefix (earlier points belong to ancestors) and within the
         // depth bound. Pushed in reverse so the DFS visits smaller
         // indices first.
-        let hi = cfg.depth.min(out.log.len());
+        let hi = cfg.depth.min(log.len());
         for i in (prefix.len()..hi).rev() {
-            let cp = &out.log[i];
+            let cp = &log[i];
             report.naive_branches += (cp.arity - 1) as u64;
             report.pruned_branches += (cp.arity - 1 - cp.branch.len()) as u64;
             for &j in cp.branch.iter().rev() {
@@ -662,7 +531,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
 /// (index 0 is the default, so they are no-ops).
 fn minimize(cfg: &ExploreConfig, choices: Vec<u16>, violations: Vec<String>) -> Counterexample {
     let original_len = choices.len();
-    let fails = |c: &[u16]| !run_schedule(cfg, c).violations.is_empty();
+    let fails = |c: &[u16]| !run_schedule(cfg, c).0.passed();
 
     let mut cur: Vec<u16> = choices;
     // Trailing zeros first: free to drop, shortens everything after.
@@ -691,8 +560,8 @@ fn minimize(cfg: &ExploreConfig, choices: Vec<u16>, violations: Vec<String>) -> 
     }
     // Re-run the minimized schedule for its (possibly reworded)
     // violations; fall back to the originals if shrinking was unstable.
-    let out = run_schedule(cfg, &cur);
-    let violations = if out.violations.is_empty() {
+    let (out, _) = run_schedule(cfg, &cur);
+    let violations = if out.passed() {
         violations
     } else {
         out.violations
@@ -704,17 +573,11 @@ fn minimize(cfg: &ExploreConfig, choices: Vec<u16>, violations: Vec<String>) -> 
     }
 }
 
-/// Runs [`explore`] for every protocol in [`PROTOCOLS`] with `make`
-/// applied to the default small config, returning the reports in
-/// protocol order.
-pub fn explore_all(make: impl Fn(ProtocolKind) -> ExploreConfig) -> Vec<ExploreReport> {
-    PROTOCOLS.into_iter().map(|p| explore(&make(p))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_sim::{run_simulation, FifoScheduler};
+    use crate::{verify_result, PROTOCOLS};
+    use sb_sim::{run_simulation, FifoScheduler, ObsKind, TraceEvent};
 
     #[test]
     fn schedule_tokens_round_trip_and_reject_garbage() {
@@ -738,6 +601,7 @@ mod tests {
             "v1:sb:3:120:2:1:-:-:extra",
             "v1:sb:3:120:2:1:-",
             "v1:sb:0:100:2:1:-:-",
+            "v1:sb:3:0:2:1:-:-",
         ] {
             assert_eq!(ScheduleToken::parse(garbage), None, "{garbage:?}");
         }
@@ -759,6 +623,53 @@ mod tests {
                 "{proto}"
             );
         }
+    }
+
+    /// The one oracle keeps every verdict the explorer's own step-wise
+    /// invariants gave: each fault planted in a real explored run — a
+    /// lost directory release, a chunk that never finishes, a doubled
+    /// grab — is a violation.
+    #[test]
+    fn the_oracle_rejects_mutated_explore_runs() {
+        let clean = run_simulation(&ExploreConfig::small(ProtocolKind::ScalableBulk).sim_config());
+        assert_eq!(verify_result(&clean), Vec::<String>::new());
+        let rejects = |r: &sb_sim::RunResult, fault: &str, want: &str| {
+            let violations = verify_result(r);
+            assert!(
+                violations.iter().any(|v| v.contains(want)),
+                "{fault}: {violations:?}"
+            );
+        };
+        let first = |r: &sb_sim::RunResult, pred: fn(&ObsKind) -> bool| {
+            let obs = r.obs.as_ref().expect("explore runs record obs");
+            obs.events
+                .iter()
+                .position(|e| pred(&e.kind))
+                .expect("event recorded")
+        };
+
+        let mut r = clean.clone();
+        let i = first(&r, |k| matches!(k, ObsKind::DirReleased { .. }));
+        r.obs.as_mut().unwrap().events.remove(i);
+        rejects(&r, "dropped DirReleased", "never released at quiescence");
+
+        let mut r = clean.clone();
+        let trace = r.trace.as_mut().unwrap();
+        let i = (trace.events.iter())
+            .position(|e| matches!(e, TraceEvent::Committed { .. }))
+            .expect("the run commits");
+        let TraceEvent::Committed { tag, .. } = trace.events.remove(i) else {
+            unreachable!()
+        };
+        (r.obs.as_mut().unwrap().events)
+            .retain(|e| !matches!(e.kind, ObsKind::ChunkDone { tag: t, .. } if t == tag));
+        rejects(&r, "dropped terminal event", "exec span never closed");
+
+        let mut r = clean;
+        let i = first(&r, |k| matches!(k, ObsKind::DirGrabbed { .. }));
+        let events = &mut r.obs.as_mut().unwrap().events;
+        events.insert(i, events[i]);
+        rejects(&r, "duplicated DirGrabbed", "grabbed twice");
     }
 
     /// Acceptance: the default small config (3 cores, shared pages on

@@ -3,10 +3,11 @@
 //! The paper claims ScalableBulk's grab/commit/recall protocol stays
 //! correct — serializable and live — under arbitrary message timings.
 //! `crates/core/tests/exhaustive.rs` model-checks small group-formation
-//! scenarios; this crate attacks the *whole machine* instead: caches,
-//! directories, the torus, and all five commit protocols, driven by
-//! randomized conflict-heavy workloads under a seeded network-timing
-//! adversary ([`sb_net::PerturbationConfig`]).
+//! scenarios on the protocol-level `sb_proto::Fabric` host; this crate
+//! attacks the *whole machine* instead: caches, directories, the torus,
+//! and all five commit protocols, driven by randomized conflict-heavy
+//! workloads under a seeded network-timing adversary
+//! ([`sb_net::PerturbationConfig`]).
 //!
 //! One fuzz case is the triple `(workload_seed, perturbation_seed,
 //! protocol)` — everything else (core count, app footprint, run length,
@@ -17,22 +18,26 @@
 //! cargo run --release -p sb-check --bin check -- --replay <wseed>:<pseed>:<proto>
 //! ```
 //!
-//! (The issue sketched the bin under `sb-sim`; it lives here because the
-//! oracle depends on `sb-sim`, not the other way around.)
+//! (The bin lives here, not under `sb-sim`, because the oracle depends
+//! on `sb-sim`, not the other way around.)
 //!
-//! Each run's [`RunTrace`] is validated by an oracle that is independent
-//! of the machine's own conflict logic (see [`verify_result`]):
+//! Each run's [`RunTrace`](sb_sim::RunTrace) is validated by one oracle,
+//! [`verify_result`], that is independent of the machine's own conflict
+//! logic. The bounded explorer ([`explore`]) and both replay commands use
+//! it too:
 //!
 //! * **serializability** — commit order is a valid serial order iff no
 //!   chunk committed after a foreign conflicting write set was applied at
 //!   its core mid-execution; the oracle recomputes every such conflict
 //!   decision from recorded footprint snapshots;
-//! * **instance discipline** — no chunk instance both commits and
-//!   squashes, no instance commits twice, none commits without starting;
 //! * **liveness/cleanup** — the run makes progress (at least one chunk of
 //!   every colliding set commits, or the machine would have deadlocked
 //!   and panicked) and the protocol's in-flight table (ScalableBulk's
-//!   CSTs) drains to empty at quiescence.
+//!   CSTs) drains to empty at quiescence;
+//! * **lifecycle and occupancy** — [`sb_sim::verify_observability`]:
+//!   every exec span closes exactly once by a commit or a squash,
+//!   directory grabs and releases alternate and balance, and the export
+//!   reconciles with the run's aggregates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -179,13 +184,19 @@ impl CaseReport {
     }
 }
 
-/// Runs one case end to end and validates it. A machine panic (deadlock
-/// detector, internal assertion) is reported as a violation rather than
-/// propagated, so a fuzz sweep survives a crashing case and still prints
-/// its replay command.
+/// Runs one case end to end and validates it.
 pub fn check_case(case: &FuzzCase) -> CaseReport {
     let cfg = case.config();
-    match panic::catch_unwind(AssertUnwindSafe(|| run_simulation(&cfg))) {
+    run_checked(|| run_simulation(&cfg))
+}
+
+/// Runs one simulation and validates it with [`verify_result`]: the one
+/// checked run behind fuzz cases, explored schedules and replays. A
+/// machine panic (deadlock detector, internal assertion) is reported as
+/// a violation rather than propagated, so a sweep or a search survives a
+/// crashing run and still prints its replay command.
+pub(crate) fn run_checked(run: impl FnOnce() -> RunResult) -> CaseReport {
+    match panic::catch_unwind(AssertUnwindSafe(run)) {
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<String>()
@@ -218,53 +229,26 @@ pub fn check_case(case: &FuzzCase) -> CaseReport {
     }
 }
 
-/// The oracle: validates one traced run. Returns every violation found
-/// (empty = the run is serializable and all invariants held).
+/// The oracle: validates one traced run that recorded its observability
+/// log. Returns every violation found (empty = the run is serializable
+/// and all invariants held).
 pub fn verify_result(r: &RunResult) -> Vec<String> {
-    use std::collections::{HashMap, HashSet};
-
     let mut violations = Vec::new();
     let Some(trace) = r.trace.as_ref() else {
         return vec!["run carries no trace; enable SimConfig::trace".into()];
     };
-
-    // Index chunk-instance lifecycles. Tags are never reused, so each tag
-    // is one instance.
-    let mut started: HashMap<sb_chunks::ChunkTag, usize> = HashMap::new();
-    let mut committed: HashMap<sb_chunks::ChunkTag, usize> = HashMap::new();
-    let mut squashed: HashSet<sb_chunks::ChunkTag> = HashSet::new();
-    for (i, e) in trace.events.iter().enumerate() {
-        match e {
-            TraceEvent::ExecStart { tag, .. } => {
-                if started.insert(*tag, i).is_some() {
-                    violations.push(format!("chunk {tag:?} started executing twice"));
-                }
-            }
-            TraceEvent::Committed { tag, .. } => {
-                if committed.insert(*tag, i).is_some() {
-                    violations.push(format!("chunk {tag:?} committed twice"));
-                }
-            }
-            TraceEvent::Squashed { tag, .. } => {
-                squashed.insert(*tag);
-            }
-            TraceEvent::InvProcessed { .. } => {}
-        }
-    }
-
-    // Instance discipline.
-    for (tag, i) in &committed {
-        if squashed.contains(tag) {
-            violations.push(format!("chunk {tag:?} was both committed and squashed"));
-        }
-        match started.get(tag) {
-            None => violations.push(format!("chunk {tag:?} committed but never started")),
-            Some(s) if s >= i => {
-                violations.push(format!("chunk {tag:?} committed before it started"))
-            }
-            Some(_) => {}
-        }
-    }
+    // Where each chunk committed in the trace. Tags are never reused, so
+    // each tag is one instance; chunk lifecycles are checked by
+    // `verify_observability` below.
+    let committed: std::collections::HashMap<sb_chunks::ChunkTag, usize> = trace
+        .events
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| match e {
+            TraceEvent::Committed { tag, .. } => Some((*tag, i)),
+            _ => None,
+        })
+        .collect();
 
     // Serializability: the commit order is a valid serial order iff no
     // committed chunk had a conflicting foreign write set applied at its
@@ -320,13 +304,11 @@ pub fn verify_result(r: &RunResult) -> Vec<String> {
             trace.final_in_flight
         ));
     }
-    // Observability-layer well-formedness: exec spans close exactly once,
-    // directory grabs/releases alternate and balance, and the Perfetto
-    // export round-trips and reconciles with the run's aggregates. Only
-    // checked when the run recorded an observability log.
-    if r.obs.is_some() {
-        violations.extend(sb_sim::verify_observability(r));
-    }
+    // Lifecycle and observability well-formedness: exec spans close
+    // exactly once, directory grabs/releases alternate and balance, and
+    // the Perfetto export round-trips and reconciles with the run's
+    // aggregates.
+    violations.extend(sb_sim::verify_observability(r));
     violations
 }
 
@@ -449,31 +431,6 @@ pub fn render_sweep(results: &[(FuzzCase, CaseReport)]) -> String {
         )
     };
     out
-}
-
-/// Per-case callback for [`run_smoke`] progress streaming.
-pub type ProgressFn<'a> = &'a mut dyn FnMut(u64, &FuzzCase, &CaseReport);
-
-/// Runs `n` cases of the deterministic schedule rooted at `base_seed`,
-/// cycling protocols and perturbation modes. `progress` (if given) is
-/// called after each case — the bin uses it to stream status.
-pub fn run_smoke(base_seed: u64, n: u64, mut progress: Option<ProgressFn<'_>>) -> SmokeReport {
-    let mut report = SmokeReport::default();
-    for i in 0..n {
-        let case = FuzzCase::nth(base_seed, i);
-        let cr = check_case(&case);
-        report.cases += 1;
-        report.commits += cr.commits;
-        report.squashes += cr.squashes;
-        report.invs_processed += cr.invs_processed;
-        if let Some(cb) = progress.as_deref_mut() {
-            cb(i, &case, &cr);
-        }
-        if !cr.passed() {
-            report.failures.push((case, cr));
-        }
-    }
-    report
 }
 
 #[cfg(test)]

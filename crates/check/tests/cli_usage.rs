@@ -1,7 +1,7 @@
 //! Bad flag values are usage errors: `check` exits with status 2 (after
 //! printing usage) instead of panicking with status 101.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Every value-taking flag of `check`: the arguments before the flag,
 /// the flag, and values it must reject.
@@ -20,7 +20,7 @@ const FLAGS: &[(&[&str], &str, &[&str])] = &[
     (&["explore"], "--depth", &["x"]),
     (&["explore"], "--max-schedules", &["x"]),
     (&["explore"], "--cores", &["0", "x"]),
-    (&["explore"], "--insns", &["x"]),
+    (&["explore"], "--insns", &["0", "x"]),
     (&["explore"], "--wseed", &["x"]),
     (&["explore"], "--inject-bug", &["nope"]),
 ];
@@ -57,4 +57,19 @@ fn check_rejects_malformed_values() {
     // Unknown flags, in the sweep and in `explore`.
     assert_usage_exit(&["--proto", "nope"]);
     assert_usage_exit(&["explore", "--bogus"]);
+}
+
+/// A usage error still exits 2 when stderr is a pipe whose reader has
+/// gone: the failed usage message is not a panic.
+#[test]
+fn usage_status_survives_a_closed_stderr() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_check"))
+        .args(["--replay-schedule", "v1:sb:0:100:2:1:-:-"])
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("check runs");
+    assert_eq!(status.code(), Some(2));
 }

@@ -111,11 +111,6 @@ impl ChunkWindow {
         self.slots.first()
     }
 
-    /// Mutable access to the oldest in-flight chunk.
-    pub fn oldest_mut(&mut self) -> Option<&mut WindowSlot> {
-        self.slots.first_mut()
-    }
-
     /// Looks up a slot by tag.
     pub fn get(&self, tag: ChunkTag) -> Option<&WindowSlot> {
         self.slots.iter().find(|s| s.chunk.tag() == tag)

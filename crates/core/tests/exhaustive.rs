@@ -3,262 +3,55 @@
 //! The paper designs its state machine "following the methodology
 //! summarized in [16]" (Sorin et al., *Specifying and verifying a
 //! broadcast and a multicast snooping cache coherence protocol*). In that
-//! spirit, this harness model-checks small scenarios: it enumerates
-//! **every order** in which the in-flight messages can be delivered
-//! (depth-first over the scheduler's choices, with duplicate-state
-//! pruning by fingerprint) and asserts, on every reachable terminal
+//! spirit, this harness model-checks small scenarios on the
+//! [`Fabric`] host: it enumerates **every order** in which the pending
+//! events can be delivered — any channel's head next, each (source,
+//! destination) channel in order (depth-first, with duplicate-state
+//! pruning by fingerprint) — and asserts, on every reachable terminal
 //! state:
 //!
 //! * **termination** — the system quiesces (no livelock within the
 //!   scenario, since retries are disabled: a failed chunk is terminal);
 //! * **completeness** — every chunk reaches exactly one terminal outcome
 //!   (committed, failed, or squashed);
-//! * **safety** — two chunks whose signatures are incompatible are never
-//!   both committed *while overlapping in time* (the loser either fails,
-//!   is squashed, or — had retries been enabled — would retry);
+//! * **no late success** — no commit success reaches a chunk that was
+//!   already squashed. A success overtaken by a later winner's bulk
+//!   invalidation from the same leader would squash a committed chunk;
+//!   the per-channel order the `CommitProtocol` contract promises rules
+//!   that out, and the fabric reports any that happens;
 //! * **progress** — among a set of colliding chunks, at least one
 //!   commits (§3.2.2's guarantee);
 //! * **compatibility** — chunks with disjoint signatures commit in every
 //!   interleaving, never failing;
 //! * **cleanup** — no Chunk State Table entry survives quiescence.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use sb_chunks::{ActiveChunk, ChunkTag, CommitRequest};
 use sb_core::{SbConfig, SbMsg, ScalableBulk};
 use sb_engine::Cycle;
-use sb_mem::{CoreId, CoreSet, DirId, LineAddr};
-use sb_proto::{AbortedCommit, BulkInvAck, Command, CommitProtocol, Endpoint, MachineView};
-use sb_sigs::{SigHandle, Signature, SignatureConfig};
+use sb_mem::{CoreId, DirId, LineAddr};
+use sb_proto::{CommitProtocol, Fabric, FabricConfig, Outcome};
+use sb_sigs::SignatureConfig;
 
-/// A deliverable event: one pending message/ack/notification.
-#[derive(Clone, Debug)]
-enum Pending {
-    Deliver(Endpoint, SbMsg),
-    BulkInv {
-        from: DirId,
-        to: CoreId,
-        tag: ChunkTag,
-        wsig: SigHandle,
-    },
-    Outcome {
-        core: CoreId,
-        tag: ChunkTag,
-        success: bool,
-    },
-}
-
-/// A channelled pending event: on-chip networks deliver point-to-point
-/// messages in FIFO order per (src, dst) pair (the `CommitProtocol`
-/// contract), so the scheduler may only pick the *oldest* event of each
-/// channel. Without this constraint the explorer finds the (physically
-/// unobservable) reordering of a `commit success` with a later winner's
-/// `bulk inv` from the same leader, which would squash an
-/// already-committed chunk.
-#[derive(Clone, Debug)]
-struct Channelled {
-    chan: (u16, u16),
-    seq: u64,
-    ev: Pending,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Terminal {
-    Committed,
-    Failed,
-    Squashed,
-}
-
-/// The explored state: protocol + pending multiset + per-chunk status.
+/// One explored state: the host and the protocol it drives.
 #[derive(Clone)]
 struct State {
+    fabric: Fabric<SbMsg>,
     proto: ScalableBulk,
-    pending: Vec<Channelled>,
-    next_seq: u64,
-    /// Chunks still awaiting an outcome, with their requests (for the
-    /// core-side squash check).
-    in_flight: BTreeMap<ChunkTag, CommitRequest>,
-    outcomes: BTreeMap<ChunkTag, Terminal>,
-}
-
-struct NullView;
-impl MachineView for NullView {
-    fn now(&self) -> Cycle {
-        Cycle::ZERO
-    }
-    fn cores(&self) -> u16 {
-        8
-    }
-    fn dirs(&self) -> u16 {
-        8
-    }
-    fn sharers_matching(&self, _dir: DirId, wsig: &Signature, committer: CoreId) -> CoreSet {
-        // Sharer lookups are scenario-injected via a thread-local instead
-        // of full directory state: each scenario lists (line, sharer)
-        // pairs explicitly.
-        SHARERS.with(|s| {
-            let mut set = CoreSet::empty();
-            for &(line, core) in s.borrow().iter() {
-                if wsig.test(line) && core != committer {
-                    set.insert(core);
-                }
-            }
-            set
-        })
-    }
-}
-
-thread_local! {
-    static SHARERS: std::cell::RefCell<Vec<(u64, CoreId)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl State {
-    fn push(&mut self, chan: (u16, u16), ev: Pending) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.push(Channelled { chan, seq, ev });
+    fn outcome(&self, tag: ChunkTag) -> Option<Outcome> {
+        self.fabric.report().outcome_of(tag)
     }
 
-    fn execute(&mut self, cmds: Vec<Command<SbMsg>>) {
-        for cmd in cmds {
-            match cmd {
-                Command::Send { src, dst, msg, .. } => {
-                    self.push((src.tile(), dst.tile()), Pending::Deliver(dst, msg))
-                }
-                Command::After { dst, msg, .. } => {
-                    self.push((dst.tile(), dst.tile()), Pending::Deliver(dst, msg))
-                }
-                Command::CommitSuccess { core, tag, from } => self.push(
-                    (from.0, core.0),
-                    Pending::Outcome {
-                        core,
-                        tag,
-                        success: true,
-                    },
-                ),
-                Command::CommitFailure { core, tag, from } => self.push(
-                    (from.0, core.0),
-                    Pending::Outcome {
-                        core,
-                        tag,
-                        success: false,
-                    },
-                ),
-                Command::BulkInv {
-                    from,
-                    to,
-                    tag,
-                    wsig,
-                    ..
-                } => self.push(
-                    (from.0, to.0),
-                    Pending::BulkInv {
-                        from,
-                        to,
-                        tag,
-                        wsig,
-                    },
-                ),
-                Command::ApplyCommit { .. } | Command::Event(_) => {}
-            }
-        }
-    }
-
-    /// Indices of deliverable events: the oldest pending event of each
-    /// (src, dst) channel.
-    fn deliverable(&self) -> Vec<usize> {
-        let mut best: BTreeMap<(u16, u16), (u64, usize)> = BTreeMap::new();
-        for (i, c) in self.pending.iter().enumerate() {
-            let e = best.entry(c.chan).or_insert((c.seq, i));
-            if c.seq < e.0 {
-                *e = (c.seq, i);
-            }
-        }
-        best.into_values().map(|(_, i)| i).collect()
-    }
-
-    /// Delivers pending item `i`, mutating the state.
-    fn step(&mut self, i: usize) {
-        let item = self.pending.swap_remove(i).ev;
-        let mut out = sb_proto::Outbox::new();
-        match item {
-            Pending::Deliver(dst, msg) => self.proto.deliver(&NullView, &mut out, dst, msg),
-            Pending::BulkInv {
-                from,
-                to,
-                tag,
-                wsig,
-            } => {
-                // Core-side: squash an in-flight commit of `to` that
-                // conflicts (exact OCI semantics, ack carries the recall).
-                let victim = self
-                    .in_flight
-                    .iter()
-                    .find(|(t, req)| {
-                        t.core() == to
-                            && **t != tag
-                            && (wsig.intersects(&req.rsig) || wsig.intersects(&req.wsig))
-                    })
-                    .map(|(t, req)| (*t, req.g_vec.clone()));
-                let mut aborted: Option<AbortedCommit> = None;
-                if let Some((vtag, g_vec)) = victim {
-                    self.in_flight.remove(&vtag);
-                    self.outcomes.insert(vtag, Terminal::Squashed);
-                    aborted = Some(AbortedCommit { tag: vtag, g_vec });
-                }
-                self.proto.bulk_inv_acked(
-                    &NullView,
-                    &mut out,
-                    BulkInvAck {
-                        dir: from,
-                        from: to,
-                        tag,
-                        aborted,
-                    },
-                );
-            }
-            Pending::Outcome { core, tag, success } => {
-                let _ = core;
-                if self.in_flight.remove(&tag).is_some() {
-                    self.outcomes.insert(
-                        tag,
-                        if success {
-                            Terminal::Committed
-                        } else {
-                            Terminal::Failed
-                        },
-                    );
-                }
-                // Outcomes for already-squashed chunks are discarded (the
-                // OCI rule: a late commit failure for a squashed chunk is
-                // dropped). A late *success* for a squashed chunk would
-                // mean a commit success raced past a later bulk inv —
-                // impossible under per-channel FIFO when both come from
-                // the same leader, which these scenarios guarantee.
-                else if success && self.outcomes.get(&tag) == Some(&Terminal::Squashed) {
-                    panic!("commit success delivered for squashed chunk {tag}");
-                }
-            }
-        }
-        self.execute(out.drain());
-    }
-
-    /// A cheap structural fingerprint for duplicate-state pruning.
-    fn fingerprint(&self) -> String {
-        let mut pend: Vec<String> = self.pending.iter().map(|p| format!("{p:?}")).collect();
-        pend.sort();
-        format!(
-            "{:?}|{:?}|{}|{}",
-            self.outcomes,
-            self.in_flight.keys().collect::<Vec<_>>(),
-            pend.join(";"),
-            self.proto.in_flight()
-        )
+    fn committed(&self, tag: ChunkTag) -> bool {
+        self.outcome(tag).is_some_and(|o| o.is_committed())
     }
 }
 
-/// Explores every FIFO-respecting delivery interleaving (bounded by
+/// Explores every delivery order the channels allow (bounded by
 /// `max_states` visited states); calls `check` on each quiesced terminal
 /// state. Returns (distinct terminal states, states visited).
 fn explore<F: Fn(&State)>(initial: State, max_states: usize, check: F) -> (usize, usize) {
@@ -272,15 +65,20 @@ fn explore<F: Fn(&State)>(initial: State, max_states: usize, check: F) -> (usize
             visited <= max_states,
             "state space larger than expected ({max_states} states)"
         );
-        if state.pending.is_empty() {
+        let heads = state.fabric.heads();
+        if heads.is_empty() {
+            let late = &state.fabric.report().late_successes;
+            assert!(late.is_empty(), "commit success reached squashed {late:?}");
             check(&state);
             terminals += 1;
             continue;
         }
-        for i in state.deliverable() {
+        for chan in heads {
             let mut next = state.clone();
-            next.step(i);
-            if seen.insert(next.fingerprint()) {
+            next.fabric.step(&mut next.proto, chan);
+            // The fabric prints everything that decides its deliveries;
+            // the protocol contributes its in-flight count.
+            if seen.insert(format!("{:?}{}", next.fabric, next.proto.in_flight())) {
                 stack.push(next);
             }
         }
@@ -302,22 +100,23 @@ fn request(core: u16, reads: &[(u64, u16)], writes: &[(u64, u16)]) -> CommitRequ
     c.to_commit_request()
 }
 
-fn start(reqs: Vec<CommitRequest>, sharers: Vec<(u64, CoreId)>) -> State {
-    SHARERS.with(|s| *s.borrow_mut() = sharers);
-    let mut st = State {
-        proto: ScalableBulk::new(SbConfig::paper_default(), 8),
-        pending: Vec::new(),
-        next_seq: 0,
-        in_flight: BTreeMap::new(),
-        outcomes: BTreeMap::new(),
-    };
-    for req in reqs {
-        let mut out = sb_proto::Outbox::new();
-        st.in_flight.insert(req.tag, req.clone());
-        st.proto.start_commit(&NullView, &mut out, req);
-        st.execute(out.drain());
+/// A fabric with every request issued at cycle 0, `sharers` seeded as
+/// (line, home, core), and no retries: a failed commit is terminal.
+fn start(reqs: Vec<CommitRequest>, sharers: &[(u64, u16, u16)]) -> State {
+    let mut fabric = Fabric::new(FabricConfig {
+        max_retries: 0,
+        ..FabricConfig::small()
+    });
+    for &(line, dir, core) in sharers {
+        fabric.seed_sharer(DirId(dir), LineAddr(line), CoreId(core));
     }
-    st
+    for req in reqs {
+        fabric.schedule_commit(Cycle::ZERO, req);
+    }
+    State {
+        fabric,
+        proto: ScalableBulk::new(SbConfig::paper_default(), 8),
+    }
 }
 
 fn incompatible(a: &CommitRequest, b: &CommitRequest) -> bool {
@@ -332,19 +131,10 @@ fn exhaustive_compatible_chunks_always_both_commit() {
     let b = request(1, &[(110, 2)], &[(210, 3)]);
     assert!(!incompatible(&a, &b), "scenario needs compatible chunks");
     let (ta, tb) = (a.tag, b.tag);
-    let (terminals, visited) = explore(start(vec![a, b], vec![]), 2_000_000, |s| {
-        assert_eq!(
-            s.outcomes.get(&ta),
-            Some(&Terminal::Committed),
-            "{:?}",
-            s.outcomes
-        );
-        assert_eq!(
-            s.outcomes.get(&tb),
-            Some(&Terminal::Committed),
-            "{:?}",
-            s.outcomes
-        );
+    let (terminals, visited) = explore(start(vec![a, b], &[]), 2_000_000, |s| {
+        let outcomes = &s.fabric.report().outcomes;
+        assert!(s.committed(ta), "{outcomes:?}");
+        assert!(s.committed(tb), "{outcomes:?}");
         assert_eq!(s.proto.in_flight(), 0, "CST leak");
     });
     assert!(
@@ -353,27 +143,21 @@ fn exhaustive_compatible_chunks_always_both_commit() {
     );
 }
 
-/// Two incompatible chunks: in EVERY interleaving exactly one commits
-/// and the other fails (no retry in the explorer) — never both, never
-/// neither.
+/// Two incompatible chunks: in EVERY interleaving at least one commits
+/// and both reach a terminal outcome (no retry in the explorer).
 #[test]
 fn exhaustive_incompatible_chunks_exactly_one_commits() {
     let a = request(0, &[], &[(500, 2), (600, 3)]);
     let b = request(1, &[], &[(500, 2), (700, 4)]);
     assert!(incompatible(&a, &b));
     let (ta, tb) = (a.tag, b.tag);
-    let (terminals, visited) = explore(start(vec![a, b], vec![]), 2_000_000, |s| {
-        let oa = s.outcomes.get(&ta).copied();
-        let ob = s.outcomes.get(&tb).copied();
-        let committed = [oa, ob]
-            .iter()
-            .filter(|o| **o == Some(Terminal::Committed))
-            .count();
+    let (terminals, visited) = explore(start(vec![a, b], &[]), 2_000_000, |s| {
+        let (oa, ob) = (s.outcome(ta), s.outcome(tb));
         // Conflicting chunks either race (one wins, the loser fails — no
         // retry in the explorer) or serialize (both commit, one after the
         // other's commit done released the common module). Never neither.
         assert!(
-            committed >= 1,
+            s.committed(ta) || s.committed(tb),
             "at least one colliding chunk commits: {oa:?} {ob:?}"
         );
         assert!(oa.is_some() && ob.is_some(), "both terminal");
@@ -393,16 +177,15 @@ fn exhaustive_three_way_collision_always_progresses() {
     let b = request(1, &[], &[(500, 2), (700, 4)]);
     let c = request(2, &[], &[(600, 3), (700, 4)]);
     let tags = [a.tag, b.tag, c.tag];
-    let (terminals, visited) = explore(start(vec![a, b, c], vec![]), 6_000_000, |s| {
-        let committed = tags
-            .iter()
-            .filter(|t| s.outcomes.get(t) == Some(&Terminal::Committed))
-            .count();
-        assert!(committed >= 1, "at least one commits: {:?}", s.outcomes);
+    let (terminals, visited) = explore(start(vec![a, b, c], &[]), 6_000_000, |s| {
+        let outcomes = &s.fabric.report().outcomes;
         assert!(
-            tags.iter().all(|t| s.outcomes.contains_key(t)),
-            "every chunk terminal: {:?}",
-            s.outcomes
+            tags.iter().any(|&t| s.committed(t)),
+            "at least one commits: {outcomes:?}"
+        );
+        assert!(
+            tags.iter().all(|&t| s.outcome(t).is_some()),
+            "every chunk terminal: {outcomes:?}"
         );
         assert_eq!(s.proto.in_flight(), 0, "CST leak");
     });
@@ -427,33 +210,25 @@ fn exhaustive_recall_cleans_up_in_every_interleaving() {
     let loser = request(1, &[(500, 2)], &[(700, 4)]);
     let (tw, tl) = (winner.tag, loser.tag);
     let squashes_seen = std::cell::Cell::new(0usize);
-    let (terminals, visited) = explore(
-        start(vec![winner, loser], vec![(500, CoreId(1))]),
-        6_000_000,
-        |s| {
+    let (terminals, visited) =
+        explore(start(vec![winner, loser], &[(500, 2, 1)]), 6_000_000, |s| {
             // Either may win the race (if the reader's messages beat the
             // writer's at the common module, the "winner" fails instead).
-            let w = s.outcomes.get(&tw).copied();
-            let l = s.outcomes.get(&tl).copied();
+            let outcomes = &s.fabric.report().outcomes;
+            let (w, l) = (s.outcome(tw), s.outcome(tl));
+            assert!(w.is_some() && l.is_some(), "both terminal: {outcomes:?}");
             assert!(
-                w.is_some() && l.is_some(),
-                "both terminal: {:?}",
-                s.outcomes
+                s.committed(tw) || s.committed(tl),
+                "at least one commits: {outcomes:?}"
             );
-            assert!(
-                w == Some(Terminal::Committed) || l == Some(Terminal::Committed),
-                "at least one commits: {:?}",
-                s.outcomes
-            );
-            if l == Some(Terminal::Squashed) {
+            if matches!(l, Some(Outcome::Squashed { .. })) {
                 // A squash implies the writer's bulk invalidation was
                 // delivered, which implies the writer committed.
-                assert_eq!(w, Some(Terminal::Committed));
+                assert!(s.committed(tw), "{outcomes:?}");
                 squashes_seen.set(squashes_seen.get() + 1);
             }
             assert_eq!(s.proto.in_flight(), 0, "recall must clean the CST");
-        },
-    );
+        });
     assert!(
         terminals >= 2 && visited > 500,
         "explored {terminals}/{visited}"

@@ -333,49 +333,6 @@ impl<E> EventQueue<E> {
         best.map(Cycle)
     }
 
-    /// The cycle of the earliest pending event (alias of [`peek_time`]
-    /// with the scheduler-facing name).
-    ///
-    /// ```
-    /// use sb_engine::{Cycle, EventQueue};
-    /// let mut q = EventQueue::new();
-    /// q.push(Cycle(9), ());
-    /// assert_eq!(q.peek_cycle(), Some(Cycle(9)));
-    /// ```
-    ///
-    /// [`peek_time`]: EventQueue::peek_time
-    pub fn peek_cycle(&self) -> Option<Cycle> {
-        self.peek_time()
-    }
-
-    /// Number of events scheduled for the earliest pending cycle — the
-    /// width of the same-cycle batch the next [`drain_cycle`] would pop,
-    /// i.e. the number of permutable dispatch choices the scheduler seam
-    /// surfaces at this point. Diagnostic/test API: the overflow tiers
-    /// are scanned linearly, so this is O(n) in the worst case.
-    ///
-    /// ```
-    /// use sb_engine::{Cycle, EventQueue};
-    /// let mut q = EventQueue::new();
-    /// assert_eq!(q.head_width(), 0);
-    /// q.push(Cycle(4), 'a');
-    /// q.push(Cycle(9), 'z');
-    /// q.push(Cycle(4), 'b');
-    /// assert_eq!(q.head_width(), 2);
-    /// ```
-    ///
-    /// [`drain_cycle`]: EventQueue::drain_cycle
-    pub fn head_width(&self) -> usize {
-        let Some(t) = self.peek_time() else { return 0 };
-        let tu = t.as_u64();
-        let mut n = self.past.iter().filter(|e| e.at == t).count()
-            + self.far.iter().filter(|e| e.at == t).count();
-        if tu >= self.cursor && tu < self.cursor + RING as u64 {
-            n += self.ring[(tu & MASK) as usize].len();
-        }
-        n
-    }
-
     /// Pops **every** event scheduled for the earliest pending cycle, in
     /// FIFO order, appending them to `out`; returns that cycle (`None` if
     /// the queue is empty). One bulk bucket drain replaces per-event
@@ -519,13 +476,7 @@ impl<E> EventQueue<E> {
         self.far.reserve(additional);
     }
 
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Lifetime tier push counts and high-water marks. Like
-    /// [`scheduled_total`](EventQueue::scheduled_total), the counters
+    /// Lifetime tier push counts and high-water marks. The counters
     /// survive [`clear`](EventQueue::clear).
     ///
     /// ```
@@ -623,12 +574,8 @@ mod tests {
         q.push(Cycle(2), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(Cycle(2)));
-        assert_eq!(q.peek_cycle(), Some(Cycle(2)));
-        assert_eq!(q.scheduled_total(), 2);
         q.clear();
         assert!(q.is_empty());
-        // Scheduling counter survives a clear.
-        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]

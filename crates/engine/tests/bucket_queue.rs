@@ -68,9 +68,6 @@ impl<E> RefQueue<E> {
     fn len(&self) -> usize {
         self.heap.len()
     }
-    fn count_at(&self, t: Cycle) -> usize {
-        self.heap.iter().filter(|e| e.at == t).count()
-    }
     /// Reference semantics of `advance_until`: pop the earliest cycle in
     /// full, but only if it lies strictly before the horizon.
     fn advance_until(&mut self, horizon: Cycle, out: &mut VecDeque<(Cycle, E)>) -> Option<Cycle> {
@@ -101,7 +98,6 @@ fn run_differential(ops: &[(bool, u64)]) {
             assert_eq!(q.pop(), r.pop());
         }
         assert_eq!(q.peek_time(), r.peek_time());
-        assert_eq!(q.peek_cycle(), r.peek_time());
         assert_eq!(q.len(), r.len());
         assert_eq!(q.is_empty(), r.len() == 0);
     }
@@ -113,7 +109,6 @@ fn run_differential(ops: &[(bool, u64)]) {
             break;
         }
     }
-    assert_eq!(q.scheduled_total(), r.next_seq);
 }
 
 /// Exhaustive sweep over every push/pop interleaving of length <= 12
@@ -388,66 +383,6 @@ proptest! {
     }
 }
 
-/// `head_width` (the choice-point width the scheduler seam exposes) must
-/// equal the number of earliest-cycle events, whichever tiers they
-/// landed in, and must not disturb the queue.
-#[test]
-fn head_width_counts_earliest_cycle_across_tiers() {
-    let mut q = EventQueue::new();
-    assert_eq!(q.head_width(), 0);
-    // Drag the cursor forward so a later push can land behind it.
-    q.push(Cycle(100), 0u64);
-    q.pop();
-    // past tier (behind cursor), ring tier, far tier all at cycle 40 is
-    // impossible (past < cursor), so check tier pairs separately.
-    // Ring + far sharing the earliest cycle: push one event far ahead,
-    // then walk the cursor so the far event enters the ring window while
-    // a fresh push at the same cycle lands in the ring.
-    q.push(Cycle(5000), 1); // far tier
-    q.push(Cycle(5000), 2); // far tier, same cycle
-    q.push(Cycle(4999), 3);
-    assert_eq!(q.head_width(), 1, "only cycle 4999 is earliest");
-    q.pop(); // cursor -> 4999; 5000 may still sit in the far heap
-    q.push(Cycle(5000), 4); // lands in the ring bucket
-    assert_eq!(q.head_width(), 3, "ring + far events at cycle 5000");
-    // Past tier: push behind the cursor.
-    q.push(Cycle(10), 5);
-    q.push(Cycle(10), 6);
-    assert_eq!(q.head_width(), 2, "past-tier ties");
-    assert_eq!(q.len(), 5, "head_width must not drain");
-    let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-    assert_eq!(order, [5, 6, 1, 2, 4], "FIFO preserved across tiers");
-}
-
-/// Differential check: `head_width` equals the reference queue's count
-/// of minimum-cycle entries at every step of a random script.
-#[test]
-fn head_width_matches_reference_counts() {
-    let mut rng = proptest::rng_for("head_width_matches_reference_counts", 0);
-    for _ in 0..200 {
-        let mut q = EventQueue::new();
-        let mut r = RefQueue::new();
-        for tag in 0..(1 + rng.below(60)) {
-            if rng.below(3) == 0 && !q.is_empty() {
-                assert_eq!(q.pop(), r.pop());
-            }
-            let c = match rng.below(4) {
-                0 => rng.below(8),
-                1 => rng.below(1024),
-                2 => 1020 + rng.below(10),
-                _ => 1024 + rng.below(9000),
-            };
-            q.push(Cycle(c), tag);
-            r.push(Cycle(c), tag);
-            let want = match r.peek_time() {
-                Some(t) => r.count_at(t),
-                None => 0,
-            };
-            assert_eq!(q.head_width(), want);
-        }
-    }
-}
-
 /// Executable spec of the tier bookkeeping: classifies each push exactly
 /// the way `EventQueue::push` routes it (behind the cursor -> past,
 /// within the ring window -> ring, else far) and tracks per-tier
@@ -547,7 +482,7 @@ fn tier_counters_match_reference_classification() {
         assert_eq!(q.tier_stats(), before, "pops must not change tier stats");
         assert_eq!(
             before.total_pushes(),
-            q.scheduled_total(),
+            r.next_seq,
             "every scheduled event was counted in exactly one tier"
         );
     }

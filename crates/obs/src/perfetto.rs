@@ -149,11 +149,6 @@ impl PerfettoTrace {
         self.events.push((ts, JsonValue::Object(members)));
     }
 
-    /// Number of timed (non-metadata) events added so far.
-    pub fn timed_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// Finishes the document: metadata first, then all timed events in
     /// stable non-decreasing `ts` order.
     pub fn to_json(mut self) -> JsonValue {

@@ -7,7 +7,7 @@ use sb_sigs::SigHandle;
 
 /// A protocol actor: a processor core or a directory module. (BulkSC's
 /// central arbiter is modelled as the directory agent of the centre tile.)
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Endpoint {
     /// Core agent on a tile.
     Core(CoreId),

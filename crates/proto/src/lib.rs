@@ -36,7 +36,7 @@ mod view;
 
 pub use choice::{AddrFootprint, ChoiceMeta};
 pub use command::{Command, Endpoint, Outbox, ProtoEvent};
-pub use fabric::{Fabric, FabricConfig, FabricReport, Outcome};
+pub use fabric::{Channel, Fabric, FabricConfig, FabricReport, Outcome};
 pub use flow::FlowId;
 pub use kind::ProtocolKind;
 pub use protocol::{AbortedCommit, BulkInvAck, CommitProtocol};

@@ -262,12 +262,6 @@ impl Signature {
         }
         p
     }
-
-    /// Approximate size in bits of the signature as carried in a network
-    /// message (used for flit accounting).
-    pub fn wire_bits(&self) -> u32 {
-        self.cfg.total_bits()
-    }
 }
 
 /// `w` with its bit positions XOR-permuted by `x < 16`: bit `j` of the

@@ -51,6 +51,7 @@
 //! requested core count exit 2 with usage before anything runs; an
 //! output path that cannot be written exits 1.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use sb_proto::ProtocolKind;
@@ -209,7 +210,7 @@ fn main() {
         .iter()
         .find(|id| *id != "scaling" && !ALL_IDS.contains(&id.as_str()))
     {
-        eprintln!("unknown experiment id {bad:?}");
+        let _ = writeln!(std::io::stderr(), "unknown experiment id {bad:?}");
         args.usage();
     }
     if ids.is_empty() && !attribution && trace_path.is_none() && series_path.is_none() {
@@ -220,7 +221,11 @@ fn main() {
     }
     if let Some(dir) = &csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("[figures] cannot write {}: {e}", dir.display());
+            let _ = writeln!(
+                std::io::stderr(),
+                "[figures] cannot write {}: {e}",
+                dir.display()
+            );
             std::process::exit(1);
         }
     }

@@ -4,8 +4,10 @@
 //! one of the parsers below, and a missing or unparsable value prints
 //! the binary's usage and exits 2, so no input reaches a panic. The
 //! parsers are shared: `--cores`, `--seed` or `--jobs` accept the same
-//! values in every binary.
+//! values in every binary. The error paths ignore a failed write to
+//! stderr (a closed pipe, say), so they keep their exit status.
 
+use std::io::Write;
 use std::iter::{Peekable, Skip};
 use std::path::Path;
 use std::str::FromStr;
@@ -52,7 +54,7 @@ impl Args {
 
     /// Prints the usage and exits 2.
     pub fn usage(&self) -> ! {
-        eprintln!("usage: {}", self.usage);
+        let _ = writeln!(std::io::stderr(), "usage: {}", self.usage);
         std::process::exit(2)
     }
 }
@@ -104,7 +106,11 @@ pub fn fabrics_fit(fabrics: &[String], cores: &[u16]) -> bool {
 pub fn write_or_exit(tag: &str, path: impl AsRef<Path>, contents: &str) {
     let path = path.as_ref();
     if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("[{tag}] cannot write {}: {e}", path.display());
+        let _ = writeln!(
+            std::io::stderr(),
+            "[{tag}] cannot write {}: {e}",
+            path.display()
+        );
         std::process::exit(1);
     }
 }

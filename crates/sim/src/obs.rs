@@ -21,7 +21,7 @@ use sb_chunks::ChunkTag;
 use sb_engine::Cycle;
 use sb_mem::DirId;
 use sb_net::SendInfo;
-use sb_proto::{Endpoint, FlowId, ProtoEvent};
+use sb_proto::{Endpoint, FlowId};
 
 /// One observability event kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,49 +167,8 @@ impl ObsLog {
         Self::default()
     }
 
-    /// Records the observability-relevant protocol events (occupancy);
-    /// all other [`ProtoEvent`]s are gauge material and ignored here.
-    pub fn record_proto(&mut self, at: Cycle, ev: &ProtoEvent) {
-        match *ev {
-            ProtoEvent::DirGrabbed { dir, tag } => self.push(at, ObsKind::DirGrabbed { dir, tag }),
-            ProtoEvent::DirReleased { dir, tag } => {
-                self.push(at, ObsKind::DirReleased { dir, tag })
-            }
-            _ => {}
-        }
-    }
-
-    /// Appends one event.
-    pub fn push(&mut self, at: Cycle, kind: ObsKind) {
-        self.events.push(ObsEvent { at, kind });
-    }
-
     /// Count of events matching `pred`.
     pub fn count(&self, pred: impl Fn(&ObsKind) -> bool) -> u64 {
         self.events.iter().filter(|e| pred(&e.kind)).count() as u64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sb_mem::CoreId;
-
-    #[test]
-    fn record_proto_keeps_only_occupancy_events() {
-        let mut log = ObsLog::new();
-        let tag = ChunkTag::new(CoreId(2), 7);
-        log.record_proto(Cycle(10), &ProtoEvent::DirGrabbed { dir: DirId(3), tag });
-        log.record_proto(Cycle(11), &ProtoEvent::CommitCompleted { tag });
-        log.record_proto(Cycle(12), &ProtoEvent::DirReleased { dir: DirId(3), tag });
-        assert_eq!(log.events.len(), 2);
-        assert_eq!(
-            log.events[0],
-            ObsEvent {
-                at: Cycle(10),
-                kind: ObsKind::DirGrabbed { dir: DirId(3), tag }
-            }
-        );
-        assert_eq!(log.count(|k| matches!(k, ObsKind::DirReleased { .. })), 1);
     }
 }

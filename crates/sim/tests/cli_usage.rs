@@ -2,7 +2,7 @@
 //! (after printing usage) instead of panicking with status 101. An
 //! output path that cannot be written exits 1 with a message.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const PROFILE: &str = env!("CARGO_BIN_EXE_profile");
 const TRACE: &str = env!("CARGO_BIN_EXE_trace");
@@ -129,6 +129,33 @@ fn unwritable_outputs_exit_1() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
         assert!(stderr.contains("cannot write"), "{bin} {args:?}: {stderr}");
+    }
+}
+
+/// A usage error still exits 2, and an unwritable output 1, when stderr
+/// is a pipe whose reader has gone: the failed error message is not a
+/// panic.
+#[test]
+fn error_statuses_survive_a_closed_stderr() {
+    let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
+    for (bin, args, code) in [
+        (PROFILE, &["--bogus"][..], 2),
+        (FIGURES, &["nope"], 2),
+        (
+            PROFILE,
+            &["--out", bad, "--cores", "4", "--insns", "500"],
+            1,
+        ),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(bin)
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
+        assert_eq!(status.code(), Some(code), "{bin} {args:?}");
     }
 }
 
