@@ -4,8 +4,9 @@
 //! allocation-friendly discrete-event core with
 //!
 //! * a [`Cycle`] newtype for simulated time,
-//! * a deterministic [`EventQueue`] (ties broken by insertion order, so a
-//!   simulation is a pure function of its inputs and seed),
+//! * a deterministic [`EventQueue`], a binary heap with ties broken by
+//!   insertion order, so a simulation is a pure function of its inputs
+//!   and seed,
 //! * seeded pseudo-random number generators ([`SplitMix64`], [`Xoshiro256`])
 //!   used everywhere randomness is needed, and
 //! * small statistics utilities ([`stats`]) shared by the higher layers.
@@ -35,6 +36,6 @@ mod rng;
 pub mod stats;
 
 pub use clock::Cycle;
-pub use events::{EventQueue, QueueTierStats};
+pub use events::{EventQueue, QueueStats};
 pub use hash::{FxHashMap, FxHashSet};
 pub use rng::{SplitMix64, Xoshiro256};

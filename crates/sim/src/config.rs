@@ -109,8 +109,8 @@ pub struct SimConfig {
 /// the recorded log or simulated results.
 ///
 /// `profile` turns on host self-profiling of the two-plane executor
-/// (per-plane phase wall-time, hub-horizon utilization, calendar-queue
-/// tier traffic, peak RSS), surfaced as `prof.*` metrics.
+/// (per-plane phase wall-time, hub-horizon utilization, event-queue
+/// pushes and peak lengths, peak RSS), surfaced as `prof.*` metrics.
 /// Profiling measures only wall-clock and allocator behaviour of the
 /// host — simulated results stay bit-identical.
 ///

@@ -46,7 +46,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sb_chunks::{ChunkSpec, ChunkTag, ChunkWindow, CommitRequest};
-use sb_engine::{Cycle, EventQueue, FxHashMap, FxHashSet};
+use sb_engine::{Cycle, EventQueue, FxHashMap, FxHashSet, SplitMix64};
 use sb_mem::{
     CacheHierarchy, CoreId, CoreSet, DirId, DirectoryState, HitLevel, LineAddr, LineSet,
     PageMapper, ReadSource, TileSet,
@@ -88,16 +88,6 @@ fn ascending(set: &LineSet) -> Vec<LineAddr> {
     let mut lines: Vec<LineAddr> = set.iter().copied().collect();
     lines.sort_unstable();
     lines
-}
-
-/// SplitMix64 finalizer; spreads a unit index into an uncorrelated
-/// perturbation-seed offset so each unit's timing-adversary stream is
-/// independent of its neighbours'.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Plane-A event: core-local, dispatched by the owning [`CoreUnit`].
@@ -402,7 +392,9 @@ impl Recorder {
 }
 
 /// One plane-A scheduler: a core, its caches and chunk window, its own
-/// event queue, clock, injection port, workload stream, and statistics.
+/// event queue, clock, injection port, and statistics. Its thread's
+/// chunks come from the machine's one [`WorkloadGen`], lent to the unit
+/// while it runs.
 struct CoreUnit {
     core: u16,
     cfg: SimConfig,
@@ -415,7 +407,6 @@ struct CoreUnit {
     /// keeps injection-port state unit-local.
     net: Network,
     mapper: Arc<PageMapper>,
-    workload: WorkloadGen,
     /// Mail to the hub, in generation order; drained at the phase edge.
     to_b: Vec<(Cycle, CoreToB)>,
     events: u64,
@@ -445,6 +436,7 @@ impl CoreUnit {
         horizon: Cycle,
         dirs: &[DirectoryState],
         rec: &mut Recorder,
+        workload: &mut WorkloadGen,
         mut sched: Option<&mut dyn Scheduler>,
     ) {
         loop {
@@ -471,7 +463,7 @@ impl CoreUnit {
             let Some((at, ev)) = next else { break };
             self.now = self.now.max_of(at);
             self.events += 1;
-            self.dispatch(ev, dirs, rec);
+            self.dispatch(ev, dirs, rec, workload);
         }
     }
 
@@ -506,12 +498,18 @@ impl CoreUnit {
         }
     }
 
-    fn dispatch(&mut self, ev: AEv, dirs: &[DirectoryState], rec: &mut Recorder) {
+    fn dispatch(
+        &mut self,
+        ev: AEv,
+        dirs: &[DirectoryState],
+        rec: &mut Recorder,
+        workload: &mut WorkloadGen,
+    ) {
         rec.dispatch(ev.cause(), self.now);
         match ev {
             AEv::Step { epoch } => {
                 if self.ctx.epoch == epoch {
-                    self.step(dirs, rec);
+                    self.step(dirs, rec, workload);
                 }
             }
             AEv::ReadDone {
@@ -544,7 +542,7 @@ impl CoreUnit {
 
     /// Ensures the core has a chunk to execute; returns false if the core
     /// is (now) finished or must wait.
-    fn ensure_chunk(&mut self, rec: &mut Recorder) -> bool {
+    fn ensure_chunk(&mut self, rec: &mut Recorder, workload: &mut WorkloadGen) -> bool {
         let t = self.now;
         let core = self.core;
         let c = &mut self.ctx;
@@ -570,9 +568,9 @@ impl CoreUnit {
             Some(s) => s,
             None => {
                 if self.cfg.cores == 1 {
-                    self.workload.next_chunk_any()
+                    workload.next_chunk_any()
                 } else {
-                    self.workload.next_chunk(c.thread)
+                    workload.next_chunk(c.thread)
                 }
             }
         };
@@ -589,14 +587,14 @@ impl CoreUnit {
     }
 
     /// Executes up to [`STEP_BATCH`] accesses of the core's current chunk.
-    fn step(&mut self, dirs: &[DirectoryState], rec: &mut Recorder) {
+    fn step(&mut self, dirs: &[DirectoryState], rec: &mut Recorder, workload: &mut WorkloadGen) {
         let mut t = self.now;
         // Useful cycles are summed here and charged when the chunk
         // finishes or the batch ends: nothing in the loop reads them.
         let mut useful = 0;
         let mut yielded = true;
         for _ in 0..STEP_BATCH {
-            if !self.ensure_chunk(rec) {
+            if !self.ensure_chunk(rec, workload) {
                 yielded = false;
                 break;
             }
@@ -1810,13 +1808,19 @@ fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// The simulated machine: per-core plane-A units, the shared directory
-/// modules, the plane-B hub, and the observation recorder.
+/// modules, the plane-B hub, the workload generator, and the observation
+/// recorder.
 pub struct Machine<P: CommitProtocol> {
     cfg: SimConfig,
     units: Vec<CoreUnit>,
     dirs: Vec<DirectoryState>,
     hub: Hub<P>,
     rec: Recorder,
+    /// Every thread's chunk stream, lent to the running unit.
+    /// `next_chunk(t)` advances only thread `t`'s state and each unit
+    /// runs its own thread, so each stream is what a private copy per
+    /// unit would produce.
+    workload: WorkloadGen,
     setup_wall: std::time::Duration,
     /// Host self-profiling accumulators (empty unless `cfg.obs.profile`).
     prof: Prof,
@@ -1948,9 +1952,10 @@ impl<P: CommitProtocol> Machine<P> {
                 Some(p) => Network::with_perturbation(cfg.net, p),
             },
             mapper: Arc::clone(&mapper),
-            // Scales with the machine: the hub's calendar carries O(cores)
-            // in-flight deliveries, and growth reallocations at 1024
-            // tiles are pure waste.
+            // Scales with the machine: the hub's queue carries O(cores)
+            // in-flight deliveries (commits fan out one event per group
+            // member), and growth reallocations at 1024 tiles are pure
+            // waste.
             bq: EventQueue::with_capacity((cfg.cores as usize * 64).max(4096)),
             batch: VecDeque::new(),
             now: Cycle::ZERO,
@@ -1983,13 +1988,12 @@ impl<P: CommitProtocol> Machine<P> {
                         Some(p) => Network::with_perturbation(
                             cfg.net,
                             PerturbationConfig {
-                                seed: p.seed ^ splitmix64(i as u64 + 1),
+                                seed: p.seed ^ SplitMix64::new(i as u64 + 1).next_u64(),
                                 ..p
                             },
                         ),
                     },
                     mapper: Arc::clone(&mapper),
-                    workload: workload.clone(),
                     to_b: Vec::new(),
                     events: 0,
                     accesses: 0,
@@ -2020,6 +2024,7 @@ impl<P: CommitProtocol> Machine<P> {
             dirs,
             hub,
             rec,
+            workload,
             setup_wall: setup_start.elapsed(),
             prof: Prof::default(),
         }
@@ -2043,12 +2048,6 @@ impl<P: CommitProtocol> Machine<P> {
     /// Panics on deadlock, like [`Machine::run`] — the explorer treats
     /// the panic as a liveness counterexample.
     pub fn run_with(mut self, mut sched: Option<&mut dyn Scheduler>) -> RunResult {
-        // Pre-size the hub's future-event list for the expected
-        // concurrency: commits fan out one event per group member.
-        let expected = self.units.len().saturating_mul(64);
-        if expected > self.hub.bq.len() {
-            self.hub.bq.reserve(expected - self.hub.bq.len());
-        }
         let wall_start = std::time::Instant::now();
         if self.run_superphases(false, resched(&mut sched)) {
             self.panic_deadlock();
@@ -2127,7 +2126,13 @@ impl<P: CommitProtocol> Machine<P> {
                 }
                 visits += 1;
                 let u = &mut self.units[i];
-                u.run_phase(ha, &self.dirs, &mut self.rec, resched(&mut sched));
+                u.run_phase(
+                    ha,
+                    &self.dirs,
+                    &mut self.rec,
+                    &mut self.workload,
+                    resched(&mut sched),
+                );
                 *next = u.queue.peek_time().unwrap_or(Cycle::MAX);
                 for (at, m) in u.to_b.drain(..) {
                     self.hub.bq.push(at, BEv::FromCore(m));
@@ -2411,16 +2416,14 @@ impl<P: CommitProtocol> Machine<P> {
             reg.set_gauge("prof.hub_busy_secs", p.b_busy_ns as f64 * 1e-9);
             // Plane-A busy time; the `.d0` name is what consumers read.
             reg.set_gauge("prof.domain_busy_secs.d0", p.a_busy_ns as f64 * 1e-9);
-            let mut tiers = self.hub.bq.tier_stats();
+            // Every push and the summed per-queue peak lengths, under the
+            // `ring_*` names perfbench reads.
+            let mut queues = self.hub.bq.stats();
             for u in &self.units {
-                tiers.merge(&u.queue.tier_stats());
+                queues.merge(&u.queue.stats());
             }
-            reg.add_counter("prof.queue.ring_pushes", tiers.ring_pushes);
-            reg.add_counter("prof.queue.far_pushes", tiers.far_pushes);
-            reg.add_counter("prof.queue.past_pushes", tiers.past_pushes);
-            reg.set_gauge("prof.queue.ring_hwm", tiers.ring_hwm as f64);
-            reg.set_gauge("prof.queue.far_hwm", tiers.far_hwm as f64);
-            reg.set_gauge("prof.queue.past_hwm", tiers.past_hwm as f64);
+            reg.add_counter("prof.queue.ring_pushes", queues.pushes);
+            reg.set_gauge("prof.queue.ring_hwm", queues.peak_len as f64);
             if let Some(rss) = peak_rss_bytes() {
                 reg.set_gauge("prof.peak_rss_bytes", rss as f64);
             }
