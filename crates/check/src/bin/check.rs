@@ -141,13 +141,13 @@ fn main() -> ExitCode {
             report.fingerprint
         );
         for v in &report.violations {
-            eprintln!("  violation: {v}");
+            cli::note(format_args!("  violation: {v}"));
         }
         return if report.passed() {
             println!("  ok");
             ExitCode::SUCCESS
         } else {
-            eprintln!("  replay: {}", token.replay_command());
+            cli::note(format_args!("  replay: {}", token.replay_command()));
             ExitCode::FAILURE
         };
     }
@@ -181,10 +181,10 @@ fn print_case(case: &FuzzCase, report: &CaseReport) {
         report.fingerprint, report.commits, report.squashes, report.invs_processed
     );
     for v in &report.violations {
-        eprintln!("  violation: {v}");
+        cli::note(format_args!("  violation: {v}"));
     }
     if !report.violations.is_empty() {
-        eprintln!("  replay: {}", case.replay_command());
+        cli::note(format_args!("  replay: {}", case.replay_command()));
     } else {
         println!("  ok");
     }

@@ -59,17 +59,23 @@ fn check_rejects_malformed_values() {
     assert_usage_exit(&["explore", "--bogus"]);
 }
 
-/// A usage error still exits 2 when stderr is a pipe whose reader has
-/// gone: the failed usage message is not a panic.
+/// A usage error still exits 2, and a replay that finds a violation 1,
+/// when stderr is a pipe whose reader has gone: a failed stderr line is
+/// not a panic.
 #[test]
 fn usage_status_survives_a_closed_stderr() {
-    let (reader, writer) = std::io::pipe().expect("pipe");
-    drop(reader);
-    let status = Command::new(env!("CARGO_BIN_EXE_check"))
-        .args(["--replay-schedule", "v1:sb:0:100:2:1:-:-"])
-        .stdout(Stdio::null())
-        .stderr(writer)
-        .status()
-        .expect("check runs");
-    assert_eq!(status.code(), Some(2));
+    for (token, code) in [
+        ("v1:sb:0:100:2:1:-:-", 2),
+        ("v1:sb:3:120:9:1:skip-read-set-conflicts:1", 1),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_check"))
+            .args(["--replay-schedule", token])
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("check runs");
+        assert_eq!(status.code(), Some(code), "check --replay-schedule {token}");
+    }
 }

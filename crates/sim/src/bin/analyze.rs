@@ -44,7 +44,7 @@ const USAGE: &str = "analyze -- [--cores N] [--app NAME] [--proto P|all] [--insn
 fn diff_mode(path_a: &str, path_b: &str) -> ! {
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("[analyze] cannot read {path}: {e}");
+            cli::note(format_args!("[analyze] cannot read {path}: {e}"));
             std::process::exit(1);
         })
     };
@@ -56,7 +56,7 @@ fn diff_mode(path_a: &str, path_b: &str) -> ! {
             std::process::exit(0);
         }
         Err(e) => {
-            eprintln!("[analyze] diff failed: {e}");
+            cli::note(format_args!("[analyze] diff failed: {e}"));
             std::process::exit(1);
         }
     }
@@ -108,7 +108,9 @@ fn main() {
         let mut paths = match commit_paths(r) {
             Ok(p) => p,
             Err(e) => {
-                eprintln!("[analyze] {proto}: critical-path reconstruction failed: {e}");
+                cli::note(format_args!(
+                    "[analyze] {proto}: critical-path reconstruction failed: {e}"
+                ));
                 std::process::exit(1);
             }
         };

@@ -51,7 +51,6 @@
 //! requested core count exit 2 with usage before anything runs; an
 //! output path that cannot be written exits 1.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use sb_proto::ProtocolKind;
@@ -144,12 +143,12 @@ fn trace_out(sweep: &Sweep, path: &Path) {
 
     let r = run_simulation(&observed_point(sweep));
     cli::write_or_exit("figures", path, &perfetto_trace(&r).to_string_pretty());
-    eprintln!(
+    cli::note(format_args!(
         "[trace-out -> {} ({} commits, {} squashes)]",
         path.display(),
         r.commits,
         r.squashes()
-    );
+    ));
 }
 
 /// Runs the observed point and writes its deterministic series report
@@ -163,7 +162,7 @@ fn series_out(sweep: &Sweep, path: &Path, window: u64) {
     let w = series::configured_series_window(&cfg, &r);
     let report = sb_sim::series_report(&cfg, &r, w).expect("series report");
     cli::write_or_exit("figures", path, &report.to_string_pretty());
-    eprintln!(
+    cli::note(format_args!(
         "[series-out -> {} ({} windows of {} cycles)]",
         path.display(),
         report
@@ -172,7 +171,7 @@ fn series_out(sweep: &Sweep, path: &Path, window: u64) {
             .and_then(|v| v.as_i64())
             .unwrap_or(0),
         w
-    );
+    ));
 }
 
 fn main() {
@@ -210,7 +209,7 @@ fn main() {
         .iter()
         .find(|id| *id != "scaling" && !ALL_IDS.contains(&id.as_str()))
     {
-        let _ = writeln!(std::io::stderr(), "unknown experiment id {bad:?}");
+        cli::note(format_args!("unknown experiment id {bad:?}"));
         args.usage();
     }
     if ids.is_empty() && !attribution && trace_path.is_none() && series_path.is_none() {
@@ -221,11 +220,10 @@ fn main() {
     }
     if let Some(dir) = &csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            let _ = writeln!(
-                std::io::stderr(),
+            cli::note(format_args!(
                 "[figures] cannot write {}: {e}",
                 dir.display()
-            );
+            ));
             std::process::exit(1);
         }
     }
@@ -344,9 +342,9 @@ fn main() {
         if let Some(dir) = &csv_dir {
             let path = dir.join(format!("{id}.csv"));
             cli::write_or_exit("figures", &path, &table.to_csv());
-            eprintln!("[{} csv -> {}]", id, path.display());
+            cli::note(format_args!("[{} csv -> {}]", id, path.display()));
         }
-        eprintln!("[{} done in {:?}]", id, started.elapsed());
+        cli::note(format_args!("[{} done in {:?}]", id, started.elapsed()));
     }
     if attribution {
         attribution_probe(&sweep);
@@ -357,9 +355,9 @@ fn main() {
     if let Some(path) = series_path {
         series_out(&sweep, &path, series_window);
     }
-    eprintln!(
+    cli::note(format_args!(
         "[runs: {} simulated, {} reused]",
         cache.simulated(),
         cache.reused()
-    );
+    ));
 }

@@ -68,28 +68,28 @@ fn main() {
     cfg.trace = true;
     cfg.obs = sb_sim::ObsConfig::on();
     cfg.obs.series_window = series_window;
-    eprintln!(
+    cli::note(format_args!(
         "[trace] {} on {cores} cores under {proto}, {} insns/thread, seed {:#x}",
         app.name, sweep.insns_per_thread, sweep.seed
-    );
+    ));
     let r = run_simulation(&cfg);
-    eprintln!(
+    cli::note(format_args!(
         "[trace] {} commits, {} squashes, {} cycles; {}",
         r.commits,
         r.squashes(),
         r.wall_cycles,
         r.perf.render()
-    );
+    ));
 
     if validate {
         let violations = verify_observability(&r);
         if !violations.is_empty() {
             for v in &violations {
-                eprintln!("[trace] VIOLATION: {v}");
+                cli::note(format_args!("[trace] VIOLATION: {v}"));
             }
             std::process::exit(1);
         }
-        eprintln!("[trace] observability oracle: clean");
+        cli::note(format_args!("[trace] observability oracle: clean"));
     }
 
     let window = sb_sim::configured_series_window(&cfg, &r);
@@ -103,22 +103,27 @@ fn main() {
         .and_then(|e| e.as_array())
         .map_or(0, |e| e.len());
     cli::write_or_exit("trace", &out, &json.to_string_pretty());
-    eprintln!("[trace] wrote {out} ({n_events} events)");
+    cli::note(format_args!("[trace] wrote {out} ({n_events} events)"));
 
     if let Some(path) = metrics_out {
         cli::write_or_exit("trace", &path, &r.metrics.to_json().to_string_pretty());
-        eprintln!("[trace] wrote {path} ({} metrics)", r.metrics.len());
+        cli::note(format_args!(
+            "[trace] wrote {path} ({} metrics)",
+            r.metrics.len()
+        ));
     }
 
     if let Some(path) = series_out {
         let report = match sb_sim::series_report(&cfg, &r, window) {
             Ok(v) => v,
             Err(e) => {
-                eprintln!("[trace] series report failed: {e}");
+                cli::note(format_args!("[trace] series report failed: {e}"));
                 std::process::exit(1);
             }
         };
         cli::write_or_exit("trace", &path, &report.to_string_pretty());
-        eprintln!("[trace] wrote {path} (window {window} cycles)");
+        cli::note(format_args!(
+            "[trace] wrote {path} (window {window} cycles)"
+        ));
     }
 }

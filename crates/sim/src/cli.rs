@@ -4,8 +4,9 @@
 //! one of the parsers below, and a missing or unparsable value prints
 //! the binary's usage and exits 2, so no input reaches a panic. The
 //! parsers are shared: `--cores`, `--seed` or `--jobs` accept the same
-//! values in every binary. The error paths ignore a failed write to
-//! stderr (a closed pipe, say), so they keep their exit status.
+//! values in every binary. Every stderr line goes through [`note`],
+//! which ignores a failed write (a closed pipe, say), so a binary keeps
+//! its exit status however its stderr is wired.
 
 use std::io::Write;
 use std::iter::{Peekable, Skip};
@@ -54,9 +55,16 @@ impl Args {
 
     /// Prints the usage and exits 2.
     pub fn usage(&self) -> ! {
-        let _ = writeln!(std::io::stderr(), "usage: {}", self.usage);
+        note(format_args!("usage: {}", self.usage));
         std::process::exit(2)
     }
+}
+
+/// Writes `line` and a newline to stderr, ignoring a failed write:
+/// `eprintln!` panics when stderr is a closed pipe, which would turn a
+/// finished run into exit 101.
+pub fn note(line: impl std::fmt::Display) {
+    let _ = writeln!(std::io::stderr(), "{line}");
 }
 
 /// Any [`FromStr`] value: counts, limits, paths and protocol names.
@@ -106,11 +114,7 @@ pub fn fabrics_fit(fabrics: &[String], cores: &[u16]) -> bool {
 pub fn write_or_exit(tag: &str, path: impl AsRef<Path>, contents: &str) {
     let path = path.as_ref();
     if let Err(e) = std::fs::write(path, contents) {
-        let _ = writeln!(
-            std::io::stderr(),
-            "[{tag}] cannot write {}: {e}",
-            path.display()
-        );
+        note(format_args!("[{tag}] cannot write {}: {e}", path.display()));
         std::process::exit(1);
     }
 }

@@ -132,25 +132,54 @@ fn unwritable_outputs_exit_1() {
     }
 }
 
-/// A usage error still exits 2, and an unwritable output 1, when stderr
-/// is a pipe whose reader has gone: the failed error message is not a
-/// panic.
+/// A usage error still exits 2, an unwritable output 1, and a finished
+/// run 0 when stderr is a pipe whose reader has gone: a failed stderr
+/// line is not a panic.
 #[test]
 fn error_statuses_survive_a_closed_stderr() {
     let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
+    let tmp = |name| format!("{}/closed_stderr_{name}.json", env!("CARGO_TARGET_TMPDIR"));
+    let (trace, profile, bench) = (tmp("trace"), tmp("profile"), tmp("bench"));
     for (bin, args, code) in [
-        (PROFILE, &["--bogus"][..], 2),
-        (FIGURES, &["nope"], 2),
+        (PROFILE, vec!["--bogus"], 2),
+        (FIGURES, vec!["nope"], 2),
         (
             PROFILE,
-            &["--out", bad, "--cores", "4", "--insns", "500"],
+            vec!["--out", bad, "--cores", "4", "--insns", "500"],
             1,
+        ),
+        (
+            TRACE,
+            vec!["--out", &trace, "--cores", "4", "--insns", "500"],
+            0,
+        ),
+        (FIGURES, vec!["table1"], 0),
+        (
+            PROFILE,
+            vec!["--out", &profile, "--cores", "4", "--insns", "500"],
+            0,
+        ),
+        (
+            BENCH_JSON,
+            vec![
+                "--out",
+                &bench,
+                "--cores",
+                "4",
+                "--insns",
+                "500",
+                "--repeats",
+                "1",
+                "--protocols",
+                "sb",
+            ],
+            0,
         ),
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
         let status = Command::new(bin)
-            .args(args)
+            .args(&args)
             .stdout(Stdio::null())
             .stderr(writer)
             .status()
