@@ -16,6 +16,13 @@
 //! were new to their chunk, the event queues' pushes and summed peak
 //! length, and peak RSS.
 //!
+//! The binary installs a counting global allocator (the library crates
+//! stay allocator-agnostic and free of `unsafe`). Its `allocations:`
+//! line gives the allocation and reallocation calls, with the bytes they
+//! requested, made while the machine is built (protocol construction
+//! plus `Machine::new`) and while it runs, and the run's calls per
+//! dispatched event.
+//!
 //! Profiling never touches simulated state: wall cycles and commits are
 //! bit-identical with profiling on or off (the golden-trace battery
 //! pins this), and with `obs` fully off the run is byte-identical to an
@@ -26,13 +33,66 @@
 //! `--out PATH` additionally writes the full metrics registry (simulated
 //! counters + `prof.*` fields) as canonical JSON for CI artifacts.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
 use sb_net::TrafficClass::*;
 use sb_obs::json::JsonValue;
 use sb_proto::ProtocolKind;
 use sb_sim::cli::{self, Args};
 use sb_sim::experiments::Sweep;
-use sb_sim::run_simulation;
+use sb_sim::run_simulation_split;
 use sb_workloads::AppProfile;
+
+/// The system allocator, counting allocation and reallocation calls and
+/// the bytes they request.
+struct Counting;
+
+static CALLS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    CALLS.fetch_add(1, Relaxed);
+    BYTES.fetch_add(bytes as u64, Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches no memory
+// the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` came from `System` with `layout`, and `new_size`
+        // meets `realloc`'s contract, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocation calls and requested bytes so far.
+fn allocated() -> (u64, u64) {
+    (CALLS.load(Relaxed), BYTES.load(Relaxed))
+}
 
 const USAGE: &str = "profile -- [--cores N] [--app NAME] [--proto P] [--insns N] [--seed S] \
                      [--max-squash N] [--out PATH]";
@@ -66,7 +126,12 @@ fn main() {
     if let Some(n) = max_squash {
         cfg.sb.max_squashes_before_reservation = n;
     }
-    let r = run_simulation(&cfg);
+    let start = allocated();
+    let mut built = start;
+    let r = run_simulation_split(&cfg, &mut || built = allocated());
+    let end = allocated();
+    let (setup_calls, setup_bytes) = (built.0 - start.0, built.1 - start.1);
+    let (run_calls, run_bytes) = (end.0 - built.0, end.1 - built.1);
     let m = &r.metrics;
     let c = |name: &str| m.counter(name).unwrap_or(0);
     let g = |name: &str| m.gauge(name).unwrap_or(0.0);
@@ -139,6 +204,10 @@ fn main() {
         c("prof.queue.ring_pushes"),
         g("prof.queue.ring_hwm") as u64
     );
+    let per_event = run_calls as f64 / events as f64;
+    println!(
+        "allocations: setup {setup_calls} ({setup_bytes} B), run {run_calls} ({run_bytes} B, {per_event:.3} per event)"
+    );
     let rss = g("prof.peak_rss_bytes");
     if rss > 0.0 {
         println!("peak RSS: {:.1} MiB", rss / (1024.0 * 1024.0));
@@ -165,6 +234,16 @@ fn main() {
                 JsonValue::obj([
                     ("wall_cycles", r.wall_cycles.into()),
                     ("commits", r.commits.into()),
+                ]),
+            ),
+            (
+                "allocations",
+                JsonValue::obj([
+                    ("setup", setup_calls.into()),
+                    ("setup_bytes", setup_bytes.into()),
+                    ("run", run_calls.into()),
+                    ("run_bytes", run_bytes.into()),
+                    ("run_per_event", per_event.into()),
                 ]),
             ),
             ("metrics", m.to_json()),

@@ -51,7 +51,7 @@ pub use machine::Machine;
 pub use obs::{FlowEvent, FlowKind, ObsEvent, ObsKind, ObsLog};
 pub use result::RunResult;
 pub use rundiff::{diff_report_texts, diff_reports, render_diff, RunDiff, TrackDiff};
-pub use runner::{run_app, run_simulation, run_simulation_scheduled};
+pub use runner::{run_app, run_simulation, run_simulation_scheduled, run_simulation_split};
 pub use sched::{ChoiceSite, FifoScheduler, Scheduler};
 pub use series::{
     configured_series_window, default_series_window, series_report, time_series_from_obs,

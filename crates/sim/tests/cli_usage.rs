@@ -204,3 +204,28 @@ fn hex_and_decimal_seeds_give_identical_runs() {
     assert!(String::from_utf8_lossy(&hex).contains("seed 0x2a"));
     assert_eq!(hex, analyze("42"));
 }
+
+/// `profile` counts the allocations of building the machine and of
+/// running it, on standard output and in its `--out` document.
+#[test]
+fn profile_prints_its_allocation_counts() {
+    let path = format!("{}/profile_allocations.json", env!("CARGO_TARGET_TMPDIR"));
+    let out = run(PROFILE, &["--cores", "4", "--insns", "500", "--out", &path]);
+    assert!(out.status.success(), "profile exited {:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("allocations: setup "))
+        .unwrap_or_else(|| panic!("no allocations line in\n{stdout}"));
+    let setup: u64 = line
+        .split_whitespace()
+        .nth(2)
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("unparsable setup count: {line}"));
+    assert!(setup > 0, "building a machine allocates: {line}");
+    assert!(line.contains(" per event)"), "{line}");
+    let doc = std::fs::read_to_string(&path).expect("profile wrote --out");
+    for key in ["\"allocations\"", "\"setup_bytes\"", "\"run_per_event\""] {
+        assert!(doc.contains(key), "--out lacks {key}");
+    }
+}

@@ -125,27 +125,29 @@ fn every_protocol_matches_its_golden_row() {
     }
 }
 
-/// Observed 128-core ScalableBulk FFT runs (3k insns/thread, seed
-/// `0xfeed`, trace and obs on) on two fabrics: past the 64-bit `WideMask`
-/// spill, where most units sit idle in any one superphase. Columns:
-/// fabric, commits, wall cycles, `RunTrace::fingerprint`, Perfetto
-/// document fingerprint.
+/// Observed ScalableBulk FFT runs past the 64-bit word of a core set
+/// (seed `0xfeed`, trace and obs on), where most units sit idle in any
+/// one superphase: 128 cores on two fabrics, whose sets span two 64-tile
+/// windows, and 256 cores on the torus, whose sets span four. Columns:
+/// fabric, cores, insns/thread, commits, wall cycles,
+/// `RunTrace::fingerprint`, Perfetto document fingerprint.
 #[rustfmt::skip]
-const GOLDEN_WIDE: [(&str, u64, u64, u64, u64); 2] = [
-    ("torus", 391, 15192, 0x3329c3929caf9b42, 0x49e96f6e68e4e7cd),
-    ("cmesh", 391, 13763, 0xc31c2c53cab04d7c, 0xfd2335146c03b43b),
+const GOLDEN_WIDE: [(&str, u16, u64, u64, u64, u64, u64); 3] = [
+    ("torus", 128, 3000, 391, 15192, 0x3329c3929caf9b42, 0x49e96f6e68e4e7cd),
+    ("cmesh", 128, 3000, 391, 13763, 0xc31c2c53cab04d7c, 0xfd2335146c03b43b),
+    ("torus", 256, 1500, 526, 14124, 0xabc15791e8d6440d, 0x5de965fc37ffba77),
 ];
 
 #[test]
 fn wide_machine_matches_its_golden_rows() {
     let print = std::env::var_os("SB_GOLDEN_PRINT").is_some();
-    for (fabric, commits, wall, trace_fp, perfetto_fp) in GOLDEN_WIDE {
-        let mut cfg = observed_fft(128, 3_000, ProtocolKind::ScalableBulk);
-        cfg.set_topology(sb_net::Topology::by_name(fabric, 128).expect("known fabric"));
+    for (fabric, cores, insns, commits, wall, trace_fp, perfetto_fp) in GOLDEN_WIDE {
+        let mut cfg = observed_fft(cores, insns, ProtocolKind::ScalableBulk);
+        cfg.set_topology(sb_net::Topology::by_name(fabric, cores).expect("known fabric"));
         let got = pinned_columns(&cfg);
         if print {
             println!(
-                "({fabric:?}, {}, {}, {:#x}, {:#x}),",
+                "({fabric:?}, {cores}, {insns}, {}, {}, {:#x}, {:#x}),",
                 got.0, got.1, got.2, got.3
             );
             continue;
@@ -153,7 +155,7 @@ fn wide_machine_matches_its_golden_rows() {
         assert_eq!(
             got,
             (commits, wall, trace_fp, perfetto_fp),
-            "128-core {fabric} drifted from its golden row"
+            "{cores}-core {fabric} drifted from its golden row"
         );
     }
 }
