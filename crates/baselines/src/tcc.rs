@@ -2,6 +2,7 @@
 //! the ScalableBulk paper.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use sb_chunks::{ChunkTag, CommitRequest};
 use sb_mem::{CoreId, DirId, DirSet, LineAddr};
@@ -436,7 +437,7 @@ impl CommitProtocol for Tcc {
                 let gvec = c.req.g_vec.clone();
                 let write_dirs = c.req.write_dirs.clone();
                 let wsig = c.req.wsig.share();
-                let marks: Vec<(DirId, u32)> = c.req.write_lines_per_dir.clone();
+                let marks = Arc::clone(&c.req.write_lines_per_dir);
                 // Probe to members, skip broadcast to everyone else
                 // (the §2.1 message storm), one mark per written line.
                 for t in 0..self.ndirs {
@@ -464,7 +465,7 @@ impl CommitProtocol for Tcc {
                         );
                     }
                 }
-                for (d, count) in marks {
+                for &(d, count) in marks.iter() {
                     for _ in 0..count {
                         out.send(
                             Endpoint::Core(core),

@@ -1,6 +1,7 @@
 //! Runtime chunk state accumulated by an executing core.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sb_mem::{DirId, DirSet, LineAddr, LineSet};
 use sb_sigs::{SigHandle, Signature, SignatureConfig};
@@ -207,9 +208,11 @@ impl ActiveChunk {
 /// signatures, and the directory vector. Counts of exact lines ride along
 /// for statistics only.
 ///
-/// The signatures are [`SigHandle`]s, so `Clone` is cheap (two refcount
-/// bumps plus a few words) — the protocol clones this payload once per
-/// grabbed directory and per retry.
+/// `Clone` allocates nothing, at any machine size: the signatures are
+/// [`SigHandle`]s and the per-directory write counts a shared slice, so
+/// both clone by refcount, and the directory sets are inline or share
+/// their spill (see [`sb_mem::WideMask`]). The protocols clone this
+/// payload once per group member, per hop and per retry.
 #[derive(Clone, Debug)]
 pub struct CommitRequest {
     /// Chunk tag (`C_Tag`).
@@ -228,8 +231,9 @@ pub struct CommitRequest {
     pub write_lines: u32,
     /// Distinct written lines per home directory, ascending by directory —
     /// Scalable TCC sends one `mark` message per written line to the
-    /// line's home directory, so its model needs these counts.
-    pub write_lines_per_dir: Vec<(DirId, u32)>,
+    /// line's home directory, so its model needs these counts. Shared
+    /// between clones.
+    pub write_lines_per_dir: Arc<[(DirId, u32)]>,
 }
 
 impl CommitRequest {
@@ -395,7 +399,7 @@ mod tests {
             }
             let req = c.to_commit_request();
             assert_eq!(
-                req.write_lines_per_dir,
+                req.write_lines_per_dir.to_vec(),
                 per_dir.into_iter().collect::<Vec<_>>()
             );
             assert_eq!(req.read_lines as usize, reads.len());

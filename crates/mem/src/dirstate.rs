@@ -291,6 +291,11 @@ mod tests {
     }
 
     #[test]
+    fn line_records_stay_32_bytes() {
+        assert!(std::mem::size_of::<LineDirInfo>() <= 32);
+    }
+
+    #[test]
     fn read_tracking_accumulates_sharers() {
         let mut d = DirectoryState::new();
         d.record_read(LineAddr(1), CoreId(0));
