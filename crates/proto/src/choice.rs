@@ -60,8 +60,9 @@ pub struct ChoiceMeta {
     /// (e.g. a global arbiter or commit order). Commutes with nothing.
     pub global: bool,
     /// Tiles whose directory state or network injection port the handler
-    /// may touch. Inline-small for ≤ 64 tiles and heap-spilled beyond, so
-    /// footprints stay exact at any machine size. Ignored when
+    /// may touch. Inline while the tiles share one 64-tile window and
+    /// spilled beyond, so footprints stay exact at any machine size
+    /// (see [`TileSet`]). Ignored when
     /// [`global`](Self::global) is set (global commutes with nothing).
     pub tiles: TileSet,
     /// Addresses the handler may read.
