@@ -14,7 +14,8 @@
 //! hub-plane utilization, directory signature expansions and the lines
 //! they matched, the accesses the cores executed and how many of them
 //! were new to their chunk, the event queues' pushes and summed peak
-//! length, and peak RSS.
+//! length, and peak RSS. Its `setup:` line splits the time `Machine::new`
+//! took over its passes ([`SETUP_PASSES`]), with `other` for the rest.
 //!
 //! The binary installs a counting global allocator (the library crates
 //! stay allocator-agnostic and free of `unsafe`). Its `allocations:`
@@ -41,7 +42,7 @@ use sb_obs::json::JsonValue;
 use sb_proto::ProtocolKind;
 use sb_sim::cli::{self, Args};
 use sb_sim::experiments::Sweep;
-use sb_sim::run_simulation_split;
+use sb_sim::{run_simulation_split, SETUP_PASSES};
 use sb_workloads::AppProfile;
 
 /// The system allocator, counting allocation and reallocation calls and
@@ -164,6 +165,19 @@ fn main() {
     );
     println!("host:      {}", r.perf.render());
     println!();
+
+    let setup = g("phase.setup_secs");
+    let passes: Vec<(&str, f64)> = SETUP_PASSES
+        .iter()
+        .map(|&pass| (pass, g(&format!("prof.setup.{pass}_secs"))))
+        .collect();
+    let other = setup - passes.iter().map(|(_, s)| s).sum::<f64>();
+    let split: Vec<String> = passes
+        .iter()
+        .chain([("other", other)].iter())
+        .map(|(pass, s)| format!("{pass} {:.1}", s * 1e3))
+        .collect();
+    println!("setup: {:.1} ms = {} ms", setup * 1e3, split.join(" + "));
 
     let superphases = c("prof.superphases");
     println!(

@@ -47,7 +47,7 @@ pub use critical_path::{
     breakdown_from_obs, commit_paths, Attribution, CommitPath, Segment, SegmentKind,
 };
 pub use export::{perfetto_trace, perfetto_trace_with_series, verify_observability};
-pub use machine::Machine;
+pub use machine::{Machine, SETUP_PASSES};
 pub use obs::{FlowEvent, FlowKind, ObsEvent, ObsKind, ObsLog};
 pub use result::RunResult;
 pub use rundiff::{diff_report_texts, diff_reports, render_diff, RunDiff, TrackDiff};

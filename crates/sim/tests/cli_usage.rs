@@ -229,3 +229,46 @@ fn profile_prints_its_allocation_counts() {
         assert!(doc.contains(key), "--out lacks {key}");
     }
 }
+
+/// `profile` splits the machine's setup time over `Machine::new`'s
+/// passes plus `other`, on one `setup:` line that adds up, and writes
+/// each pass as a `prof.setup.*` gauge in its `--out` document.
+#[test]
+fn profile_prints_its_setup_split() {
+    let path = format!("{}/profile_setup.json", env!("CARGO_TARGET_TMPDIR"));
+    let out = run(PROFILE, &["--cores", "4", "--insns", "500", "--out", &path]);
+    assert!(out.status.success(), "profile exited {:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("setup: "))
+        .unwrap_or_else(|| panic!("no setup line in\n{stdout}"));
+    let (total, parts) = line
+        .strip_prefix("setup: ")
+        .and_then(|l| l.strip_suffix(" ms"))
+        .and_then(|l| l.split_once(" ms = "))
+        .unwrap_or_else(|| panic!("malformed setup line: {line}"));
+    let ms = |s: &str| -> f64 { s.parse().unwrap_or_else(|_| panic!("{s:?} in {line}")) };
+    let parts: Vec<(&str, f64)> = parts
+        .split(" + ")
+        .map(|p| {
+            let (name, v) = p.rsplit_once(' ').expect("a part is `name ms`");
+            (name, ms(v))
+        })
+        .collect();
+    let names: Vec<&str> = parts.iter().map(|(n, _)| *n).collect();
+    let mut want = sb_sim::SETUP_PASSES.to_vec();
+    want.push("other");
+    assert_eq!(names, want, "{line}");
+    // Each figure is rounded to 0.1 ms.
+    let sum: f64 = parts.iter().map(|(_, v)| v).sum();
+    assert!(
+        (sum - ms(total)).abs() <= 0.05 * (parts.len() + 1) as f64,
+        "{line}"
+    );
+    let doc = std::fs::read_to_string(&path).expect("profile wrote --out");
+    for pass in sb_sim::SETUP_PASSES {
+        let key = format!("\"prof.setup.{pass}_secs\"");
+        assert!(doc.contains(&key), "--out lacks {key}");
+    }
+}
