@@ -12,8 +12,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sb_chunks::{ActiveChunk, ChunkSpec, ChunkTag};
 use sb_engine::{Cycle, EventQueue, SplitMix64};
 use sb_mem::{
-    CacheConfig, CacheHierarchy, CacheHierarchyConfig, CoreId, DirId, DirectoryState, LineAddr,
-    PageMapPolicy, PageMapper, SetAssocCache,
+    page_masks, CacheConfig, CacheHierarchy, CacheHierarchyConfig, CoreId, DirId, DirectoryState,
+    LineAddr, PageMapPolicy, PageMapper, SetAssocCache,
 };
 use sb_net::{MsgSize, Network, NetworkConfig, NodeId, TrafficClass};
 use sb_sigs::{SigHandle, Signature, SignatureConfig};
@@ -211,17 +211,14 @@ fn directories(c: &mut Criterion) {
         for page in gen.shared_pool_pages() {
             let h = page.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
             let home = mapper.home_of_page(page, CoreId((h % CORES as u64) as u16));
-            for i in 0..LineAddr::PER_PAGE {
-                dirs[home.idx()].mark_resident(page.line(i));
-            }
+            dirs[home.idx()].mark_page_resident(page);
         }
         let fill = CacheHierarchyConfig::paper_default().l2.capacity_lines() * 3 / 4;
         for core in 0..CORES {
             let (base, count) = gen.private_region(core as usize);
-            for l in 0..count.min(fill) {
-                let line = LineAddr(base.as_u64() + l);
-                let home = mapper.home_of_line(line, CoreId(core));
-                dirs[home.idx()].record_read(line, CoreId(core));
+            for (page, mask) in page_masks(base, count.min(fill)) {
+                let home = mapper.home_of_page(page, CoreId(core));
+                dirs[home.idx()].record_page_reads(page, mask, CoreId(core));
             }
         }
         // Four chunks per thread: each committer's W signature and the

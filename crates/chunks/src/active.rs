@@ -237,11 +237,6 @@ pub struct CommitRequest {
 }
 
 impl CommitRequest {
-    /// Directories that recorded only reads.
-    pub fn read_only_dirs(&self) -> DirSet {
-        self.g_vec.difference(&self.write_dirs)
-    }
-
     /// The group leader under the baseline policy: the lowest-numbered
     /// participating module (§3.2).
     pub fn leader(&self) -> Option<DirId> {
@@ -317,7 +312,10 @@ mod tests {
         assert_eq!(req.write_lines, 2);
         assert_eq!(req.leader(), Some(DirId(1)));
         assert_eq!(
-            req.read_only_dirs().iter().collect::<Vec<_>>(),
+            req.g_vec
+                .difference(&req.write_dirs)
+                .iter()
+                .collect::<Vec<_>>(),
             vec![DirId(1)]
         );
         assert_eq!(c.instructions_done(), 2000);

@@ -88,12 +88,19 @@ impl BlockIndex {
     /// if it is the block's first line.
     pub(crate) fn insert(&mut self, line: LineAddr) {
         let (base, bit) = Self::block_of(line);
+        self.insert_block(base, bit as u16);
+    }
+
+    /// Adds the lines of `mask` (bit `j`: line `base + j`) of the block
+    /// starting at `base`, with one group lookup for all of them.
+    pub(crate) fn insert_block(&mut self, base: u64, mask: u16) {
+        debug_assert!(base.is_multiple_of(BLOCK_LINES) && mask != 0);
         let g = self.group_of(base);
         match self.find(&self.groups[g], base) {
-            Some(at) => self.groups[g][at + MASK_AT] |= bit,
+            Some(at) => self.groups[g][at + MASK_AT] |= mask as u32,
             None => {
                 let group = &mut self.groups[g];
-                group.extend([base as u32, (base >> 32) as u32, bit]);
+                group.extend([base as u32, (base >> 32) as u32, mask as u32]);
                 group.extend(block_keys(self.cfg, base));
             }
         }
@@ -124,6 +131,24 @@ impl BlockIndex {
     /// Panics if `wsig`'s geometry is not the index's.
     #[inline]
     pub(crate) fn visit(&self, wsig: &Signature, mut f: impl FnMut(LineAddr)) {
+        self.visit_blocks(wsig, |base, mut m| {
+            while m != 0 {
+                f(LineAddr(base + m.trailing_zeros() as u64));
+                m &= m - 1;
+            }
+        });
+    }
+
+    /// Calls `f(base, mask)` once for every block with indexed lines that
+    /// pass `wsig.test`: `base` is the block's first line and `mask`
+    /// (never 0) holds those lines (bit `j`: line `base + j`). Blocks
+    /// come in no particular order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wsig`'s geometry is not the index's.
+    #[inline]
+    pub(crate) fn visit_blocks(&self, wsig: &Signature, mut f: impl FnMut(u64, u16)) {
         assert_eq!(wsig.config(), self.cfg, "signature geometry mismatch");
         let mut last = usize::MAX;
         for bit in wsig.bank_set_bits(self.group_bank) {
@@ -133,11 +158,9 @@ impl BlockIndex {
             }
             last = g;
             for r in self.groups[g].chunks_exact(self.stride) {
-                let mut m = wsig.block_matches(&r[KEYS_AT..], r[MASK_AT] as u16);
-                let base = r[0] as u64 | (r[1] as u64) << 32;
-                while m != 0 {
-                    f(LineAddr(base + m.trailing_zeros() as u64));
-                    m &= m - 1;
+                let m = wsig.block_matches(&r[KEYS_AT..], r[MASK_AT] as u16);
+                if m != 0 {
+                    f(r[0] as u64 | (r[1] as u64) << 32, m);
                 }
             }
         }

@@ -628,16 +628,6 @@ impl DirSet {
     pub fn iter(&self) -> impl Iterator<Item = DirId> {
         self.0.iter().map(DirId)
     }
-
-    /// Members in a rotated priority order: the member with the highest
-    /// priority under rotation `offset` comes first. Used by the fairness
-    /// scheme of §3.2.2, where priorities rotate modulo the module count.
-    pub fn iter_rotated(&self, offset: u16, modules: u16) -> impl Iterator<Item = DirId> {
-        let set = self.clone();
-        (0..modules)
-            .map(move |i| DirId((i + offset) % modules))
-            .filter(move |d| set.contains(*d))
-    }
 }
 
 impl FromIterator<DirId> for DirSet {
@@ -837,17 +827,6 @@ mod tests {
         assert_eq!(a.union(&b).len(), 4);
         // Collision module = lowest common module (§3.2.1).
         assert_eq!(a.intersect(&b).lowest(), Some(DirId(2)));
-    }
-
-    #[test]
-    fn dirset_rotation_order() {
-        let g: DirSet = [DirId(0), DirId(3), DirId(5)].into_iter().collect();
-        // With offset 4 over 8 modules, priority order is 4,5,6,7,0,1,2,3.
-        let order: Vec<DirId> = g.iter_rotated(4, 8).collect();
-        assert_eq!(order, vec![DirId(5), DirId(0), DirId(3)]);
-        // Offset 0 degenerates to natural order.
-        let natural: Vec<DirId> = g.iter_rotated(0, 8).collect();
-        assert_eq!(natural, vec![DirId(0), DirId(3), DirId(5)]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod hierarchy;
 mod ids;
 mod page;
 
-pub use addr::{Addr, LineAddr, LineSet, PageAddr, LINE_BYTES, PAGE_BYTES};
+pub use addr::{page_masks, Addr, LineAddr, LineSet, PageAddr, LINE_BYTES, PAGE_BYTES};
 pub use cache::{CacheConfig, SetAssocCache};
 pub use dirstate::{DirectoryState, ReadSource};
 pub use hierarchy::{CacheHierarchy, CacheHierarchyConfig, HitLevel};
