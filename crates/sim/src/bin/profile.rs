@@ -15,7 +15,9 @@
 //! they matched, the accesses the cores executed and how many of them
 //! were new to their chunk, the event queues' pushes and summed peak
 //! length, and peak RSS. Its `setup:` line splits the time `Machine::new`
-//! took over its passes ([`SETUP_PASSES`]), with `other` for the rest.
+//! took over its passes ([`SETUP_PASSES`]), with `other` for the rest;
+//! its `setup faults:` line splits the minor page faults the same way
+//! (host counters read from `/proc/self/stat`; absent without procfs).
 //!
 //! The binary installs a counting global allocator (the library crates
 //! stay allocator-agnostic and free of `unsafe`). Its `allocations:`
@@ -178,6 +180,19 @@ fn main() {
         .map(|(pass, s)| format!("{pass} {:.1}", s * 1e3))
         .collect();
     println!("setup: {:.1} ms = {} ms", setup * 1e3, split.join(" + "));
+    let faults: Vec<(&str, u64)> = SETUP_PASSES
+        .iter()
+        .chain(&["other"])
+        .filter_map(|&pass| Some((pass, m.counter(&format!("prof.setup.{pass}_faults"))?)))
+        .collect();
+    if !faults.is_empty() {
+        let split: Vec<String> = faults
+            .iter()
+            .map(|(pass, n)| format!("{pass} {n}"))
+            .collect();
+        let total: u64 = faults.iter().map(|(_, n)| n).sum();
+        println!("setup faults: {total} = {}", split.join(" + "));
+    }
 
     let superphases = c("prof.superphases");
     println!(

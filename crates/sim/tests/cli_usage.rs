@@ -272,3 +272,50 @@ fn profile_prints_its_setup_split() {
         assert!(doc.contains(&key), "--out lacks {key}");
     }
 }
+
+/// Where procfs is available, `profile` splits the minor page faults of
+/// the machine's setup over the same passes, in the same order, on one
+/// `setup faults:` line that adds up, and writes each pass as a
+/// `prof.setup.*_faults` counter in its `--out` document; without
+/// procfs it prints no such line.
+#[test]
+fn profile_prints_its_setup_faults() {
+    let path = format!("{}/profile_faults.json", env!("CARGO_TARGET_TMPDIR"));
+    let out = run(PROFILE, &["--cores", "4", "--insns", "500", "--out", &path]);
+    assert!(out.status.success(), "profile exited {:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.lines().find(|l| l.starts_with("setup faults: "));
+    if !std::path::Path::new("/proc/self/stat").exists() {
+        assert_eq!(line, None);
+        return;
+    }
+    let line = line.unwrap_or_else(|| panic!("no setup faults line in\n{stdout}"));
+    let (total, parts) = line
+        .strip_prefix("setup faults: ")
+        .and_then(|l| l.split_once(" = "))
+        .unwrap_or_else(|| panic!("malformed setup faults line: {line}"));
+    let n = |s: &str| -> u64 { s.parse().unwrap_or_else(|_| panic!("{s:?} in {line}")) };
+    let parts: Vec<(&str, u64)> = parts
+        .split(" + ")
+        .map(|p| {
+            let (name, v) = p.rsplit_once(' ').expect("a part is `name count`");
+            (name, n(v))
+        })
+        .collect();
+    let names: Vec<&str> = parts.iter().map(|(name, _)| *name).collect();
+    let mut want = sb_sim::SETUP_PASSES.to_vec();
+    want.push("other");
+    assert_eq!(names, want, "{line}");
+    assert_eq!(
+        parts.iter().map(|(_, v)| v).sum::<u64>(),
+        n(total),
+        "{line}"
+    );
+    // Building the caches alone touches fresh pages.
+    assert!(n(total) > 0, "{line}");
+    let doc = std::fs::read_to_string(&path).expect("profile wrote --out");
+    for pass in want {
+        let key = format!("\"prof.setup.{pass}_faults\"");
+        assert!(doc.contains(&key), "--out lacks {key}");
+    }
+}
