@@ -114,9 +114,10 @@ fn caches(c: &mut Criterion) {
         })
     });
     // The wide-machine regime: one access per core in turn across 256
-    // private hierarchies, each with ¾ of its L2 prefilled as
-    // `Machine::new` does, so the combined tag state far exceeds the host
-    // cache and every access pays for where its cache lives.
+    // private hierarchies, each with ¾ of its L2 prefilled in one
+    // `fill_run` as `Machine::new` does, so the combined tag state far
+    // exceeds the host cache and every access pays for where its cache
+    // lives.
     c.bench_function("hierarchy_access_256", |b| {
         const CORES: u64 = 256;
         let cfg = CacheHierarchyConfig::paper_default();
@@ -125,9 +126,7 @@ fn caches(c: &mut Criterion) {
         let mut hiers: Vec<CacheHierarchy> = (0..CORES)
             .map(|core| {
                 let mut h = CacheHierarchy::new(cfg);
-                for l in 0..fill {
-                    h.fill(LineAddr(base(core) + l));
-                }
+                h.fill_run(LineAddr(base(core)), fill);
                 h
             })
             .collect();
