@@ -251,7 +251,7 @@ fn main() {
                     ("app", app.name.into()),
                     ("cores", (cores as u64).into()),
                     ("insns_per_thread", sweep.insns_per_thread.into()),
-                    ("seed", sweep.seed.into()),
+                    ("seed", format!("{:#x}", sweep.seed).into()),
                     (
                         "max_squashes_before_reservation",
                         u64::from(cfg.sb.max_squashes_before_reservation).into(),

@@ -120,7 +120,7 @@ pub fn series_report(cfg: &SimConfig, r: &RunResult, window: u64) -> Result<Json
                 ("app", JsonValue::from(cfg.app.name)),
                 ("cores", JsonValue::from(cfg.cores as u64)),
                 ("insns_per_thread", JsonValue::from(cfg.insns_per_thread)),
-                ("seed", JsonValue::from(cfg.seed)),
+                ("seed", JsonValue::from(format!("{:#x}", cfg.seed))),
             ]),
         ),
         (

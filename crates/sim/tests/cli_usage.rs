@@ -205,6 +205,38 @@ fn hex_and_decimal_seeds_give_identical_runs() {
     assert_eq!(hex, analyze("42"));
 }
 
+/// A seed past 2^63 reads back from the `trace --series-out` and
+/// `profile --out` reports as the hex the binaries print, not as the
+/// negative number an `i64` cast would make of it.
+#[test]
+fn reports_keep_seeds_past_i64() {
+    let seed = u64::MAX - 255;
+    let hex = format!("{seed:#x}");
+    let tmp = |name| format!("{}/wide_seed_{name}.json", env!("CARGO_TARGET_TMPDIR"));
+    let (trace, series, profile) = (tmp("trace"), tmp("series"), tmp("profile"));
+    for (bin, outs, report) in [
+        (
+            TRACE,
+            vec!["--out", &trace, "--series-out", &series],
+            &series,
+        ),
+        (PROFILE, vec!["--out", &profile], &profile),
+    ] {
+        let mut args = vec!["--cores", "4", "--insns", "500", "--seed", &hex];
+        args.extend(outs);
+        let out = run(bin, &args);
+        assert!(out.status.success(), "{bin} exited {:?}", out.status);
+        let text = std::fs::read_to_string(report).expect("the report was written");
+        let doc = sb_obs::json::JsonValue::parse(&text).expect("the report parses");
+        let got = doc.get("meta").and_then(|m| m.get("seed"));
+        assert_eq!(got.and_then(|s| s.as_str()), Some(hex.as_str()), "{bin}");
+        assert_eq!(
+            got.and_then(|s| s.as_str()).and_then(sb_sim::cli::seed),
+            Some(seed)
+        );
+    }
+}
+
 /// `profile` counts the allocations of building the machine and of
 /// running it, on standard output and in its `--out` document.
 #[test]
