@@ -132,7 +132,8 @@ impl JsonValue {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact form of `self` to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -247,7 +248,9 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string: `"`, `\` and control
+/// characters escaped, everything else as is.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -142,7 +142,7 @@ fn trace_out(sweep: &Sweep, path: &Path) {
     use sb_sim::{perfetto_trace, run_simulation};
 
     let r = run_simulation(&observed_point(sweep));
-    cli::write_or_exit("figures", path, &perfetto_trace(&r).to_string_pretty());
+    cli::write_or_exit("figures", path, &perfetto_trace(&r).to_string());
     cli::note(format_args!(
         "[trace-out -> {} ({} commits, {} squashes)]",
         path.display(),

@@ -93,17 +93,13 @@ fn main() {
     }
 
     let window = sb_sim::configured_series_window(&cfg, &r);
-    let json = if series {
+    let doc = if series {
         sb_sim::perfetto_trace_with_series(&r, window)
     } else {
         perfetto_trace(&r)
     };
-    let n_events = json
-        .get("traceEvents")
-        .and_then(|e| e.as_array())
-        .map_or(0, |e| e.len());
-    cli::write_or_exit("trace", &out, &json.to_string_pretty());
-    cli::note(format_args!("[trace] wrote {out} ({n_events} events)"));
+    cli::write_or_exit("trace", &out, &doc.to_string());
+    cli::note(format_args!("[trace] wrote {out} ({} events)", doc.len()));
 
     if let Some(path) = metrics_out {
         cli::write_or_exit("trace", &path, &r.metrics.to_json().to_string_pretty());

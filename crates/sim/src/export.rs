@@ -35,7 +35,7 @@ use std::collections::BTreeSet;
 use sb_chunks::ChunkTag;
 use sb_mem::DirId;
 use sb_obs::json::JsonValue;
-use sb_obs::perfetto::{self, PerfettoTrace};
+use sb_obs::perfetto::{self, PerfettoDocument, PerfettoTrace};
 use sb_proto::Endpoint;
 
 use crate::critical_path::{breakdown_from_obs, commit_paths, Segment};
@@ -55,17 +55,18 @@ const PID_MACHINE: u64 = 2;
 const PID_SERIES: u64 = 3;
 
 /// Converts `r`'s trace + observability log into a chrome-trace JSON
-/// document. Runs without a trace or log produce a document with only
-/// the parts that were recorded (an empty run is still valid JSON).
-pub fn perfetto_trace(r: &RunResult) -> JsonValue {
-    build_perfetto(r).to_json()
+/// document, whose `Display` writes its compact text. Runs without a
+/// trace or log produce a document with only the parts that were
+/// recorded (an empty run is still valid JSON).
+pub fn perfetto_trace(r: &RunResult) -> PerfettoDocument {
+    build_perfetto(r).finish()
 }
 
 /// Like [`perfetto_trace`], plus one counter track per derived
 /// time-series track (window width `window` cycles, sampled at each
 /// window's start) under a dedicated "series" process — the windowed
 /// commit/squash/occupancy/network rates rendered over the chunk spans.
-pub fn perfetto_trace_with_series(r: &RunResult, window: u64) -> JsonValue {
+pub fn perfetto_trace_with_series(r: &RunResult, window: u64) -> PerfettoDocument {
     let mut t = build_perfetto(r);
     if let Some(obs) = r.obs.as_ref() {
         let ts = crate::series::time_series_from_obs(obs, window);
@@ -86,7 +87,7 @@ pub fn perfetto_trace_with_series(r: &RunResult, window: u64) -> JsonValue {
             }
         }
     }
-    t.to_json()
+    t.finish()
 }
 
 fn build_perfetto(r: &RunResult) -> PerfettoTrace {
@@ -291,8 +292,8 @@ fn endpoint_track(e: Endpoint, cores: &mut BTreeSet<u16>, dirs: &mut BTreeSet<u1
 ///    the terminal counts equal the run's `commits`/`squashes()`;
 /// 2. grab/release alternate strictly per `(dir, chunk)` and balance at
 ///    quiescence (`final_in_flight == 0`);
-/// 3. the Perfetto export round-trips byte-identically through the JSON
-///    parser and passes the structural validator;
+/// 3. the Perfetto export's text parses, passes the structural
+///    validator, and re-serializes from the parsed tree byte-identically;
 /// 4. event counts in the exported document reconcile exactly with the
 ///    run's aggregates and metrics registry;
 /// 5. the derived time-series reconciles exactly: every track sums over
@@ -469,22 +470,23 @@ pub fn verify_observability(r: &RunResult) -> Vec<String> {
         }
     }
 
-    // 3. Export round-trip + structural validation.
-    let json = perfetto_trace(r);
-    for problem in perfetto::validate(&json) {
-        v.push(format!("perfetto: {problem}"));
-    }
-    let text = json.to_string();
-    match JsonValue::parse(&text) {
-        Ok(reparsed) => {
-            if reparsed != json {
-                v.push("perfetto JSON does not round-trip through the parser".into());
-            } else if reparsed.to_string() != text {
+    // 3. The export's text parses, validates, and round-trips.
+    let text = perfetto_trace(r).to_string();
+    let json = match JsonValue::parse(&text) {
+        Ok(json) => {
+            for problem in perfetto::validate(&json) {
+                v.push(format!("perfetto: {problem}"));
+            }
+            if json.to_string() != text {
                 v.push("perfetto JSON re-serialization is not byte-identical".into());
             }
+            json
         }
-        Err(e) => v.push(format!("perfetto JSON does not parse: {e}")),
-    }
+        Err(e) => {
+            v.push(format!("perfetto JSON does not parse: {e}"));
+            JsonValue::Null
+        }
+    };
 
     // 4. Count reconciliation against the document itself.
     let events = json
@@ -636,7 +638,7 @@ mod tests {
     #[test]
     fn export_has_both_core_and_directory_tracks() {
         let r = observed_run(ProtocolKind::ScalableBulk);
-        let json = perfetto_trace(&r);
+        let json = perfetto_trace(&r).to_json();
         let events = json.get("traceEvents").unwrap().as_array().unwrap();
         let has_cat = |want: &str| {
             events
@@ -654,7 +656,7 @@ mod tests {
         let r = run_simulation(&cfg);
         assert_eq!(verify_observability(&r).len(), 1);
         // The exporter still produces a valid (metadata-only) document.
-        let json = perfetto_trace(&r);
+        let json = perfetto_trace(&r).to_json();
         assert!(perfetto::validate(&json).is_empty());
     }
 }

@@ -21,6 +21,7 @@ fn observed(cores: u16, insns: u64, protocol: ProtocolKind) -> SimConfig {
 /// Perfetto categories present in a run's export.
 fn categories(r: &sb_sim::RunResult) -> std::collections::BTreeSet<String> {
     perfetto_trace(r)
+        .to_json()
         .get("traceEvents")
         .unwrap()
         .as_array()
