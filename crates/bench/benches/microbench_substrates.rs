@@ -13,7 +13,7 @@ use sb_chunks::{ActiveChunk, ChunkSpec, ChunkTag};
 use sb_engine::{Cycle, EventQueue, SplitMix64};
 use sb_mem::{
     page_masks, CacheConfig, CacheHierarchy, CacheHierarchyConfig, CoreId, DirId, DirectoryState,
-    LineAddr, PageMapPolicy, PageMapper, SetAssocCache,
+    LineAddr, PageMapPolicy, PageMapper, ReadSource, SetAssocCache,
 };
 use sb_net::{MsgSize, Network, NetworkConfig, NodeId, TrafficClass};
 use sb_sigs::{SigHandle, Signature, SignatureConfig};
@@ -194,51 +194,75 @@ fn caches(c: &mut Criterion) {
     });
 }
 
+/// Cores (and directories) of the directory benches.
+const DIR_CORES: u16 = 64;
+
+/// 64 directories warmed as `Machine::new` warms them for Radix: every
+/// shared pool line resident at its hashed home, and ¾ of each L2's
+/// worth of private lines read by their owner. Returns them with the
+/// workload generator, ready for chunks, and the page mapper.
+fn warm_directories_64() -> (WorkloadGen, PageMapper, Vec<DirectoryState>) {
+    let sig = SignatureConfig::paper_default();
+    let gen = WorkloadGen::new(AppProfile::radix(), DIR_CORES as usize, 0x5ca1_ab1e);
+    let mut mapper = PageMapper::new(PageMapPolicy::FirstTouch, DIR_CORES);
+    let mut dirs: Vec<DirectoryState> = (0..DIR_CORES)
+        .map(|_| DirectoryState::with_signature_config(sig))
+        .collect();
+    for page in gen.shared_pool_pages() {
+        let h = page.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let home = mapper.home_of_page(page, CoreId((h % DIR_CORES as u64) as u16));
+        dirs[home.idx()].mark_page_resident(page);
+    }
+    let fill = CacheHierarchyConfig::paper_default().l2.capacity_lines() * 3 / 4;
+    for core in 0..DIR_CORES {
+        let (base, count) = gen.private_region(core as usize);
+        for (page, mask) in page_masks(base, count.min(fill)) {
+            let home = mapper.home_of_page(page, CoreId(core));
+            dirs[home.idx()].record_page_reads(page, mask, CoreId(core));
+        }
+    }
+    (gen, mapper, dirs)
+}
+
+/// The next chunk of `core`'s thread: its W signature, the distinct
+/// homes of its writes, and every line it accesses.
+fn chunk_at_homes(
+    gen: &mut WorkloadGen,
+    mapper: &mut PageMapper,
+    core: CoreId,
+) -> (Signature, Vec<DirId>, Vec<LineAddr>) {
+    let spec = gen.next_chunk(core.idx());
+    let lines: Vec<LineAddr> = spec.accesses().iter().map(|a| a.line).collect();
+    let writes: Vec<LineAddr> = spec
+        .accesses()
+        .iter()
+        .filter(|a| a.is_write)
+        .map(|a| a.line)
+        .collect();
+    let mut homes: Vec<DirId> = writes
+        .iter()
+        .map(|&l| mapper.home_of_line(l, core))
+        .collect();
+    homes.sort_unstable();
+    homes.dedup();
+    let w = Signature::from_lines(
+        SignatureConfig::paper_default(),
+        writes.iter().map(|l| l.as_u64()),
+    );
+    (w, homes, lines)
+}
+
 fn directories(c: &mut Criterion) {
     // One commit's directory work at each write home of a Radix chunk on
-    // 64 directories warmed as `Machine::new` warms them: every shared
-    // pool line resident at its hashed home, and ¾ of each L2's worth of
-    // private lines read by their owner.
+    // the warmed directories.
     c.bench_function("directory_expand_64", |b| {
-        const CORES: u16 = 64;
-        let sig = SignatureConfig::paper_default();
-        let mut gen = WorkloadGen::new(AppProfile::radix(), CORES as usize, 0x5ca1_ab1e);
-        let mut mapper = PageMapper::new(PageMapPolicy::FirstTouch, CORES);
-        let mut dirs: Vec<DirectoryState> = (0..CORES)
-            .map(|_| DirectoryState::with_signature_config(sig))
-            .collect();
-        for page in gen.shared_pool_pages() {
-            let h = page.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-            let home = mapper.home_of_page(page, CoreId((h % CORES as u64) as u16));
-            dirs[home.idx()].mark_page_resident(page);
-        }
-        let fill = CacheHierarchyConfig::paper_default().l2.capacity_lines() * 3 / 4;
-        for core in 0..CORES {
-            let (base, count) = gen.private_region(core as usize);
-            for (page, mask) in page_masks(base, count.min(fill)) {
-                let home = mapper.home_of_page(page, CoreId(core));
-                dirs[home.idx()].record_page_reads(page, mask, CoreId(core));
-            }
-        }
+        let (mut gen, mut mapper, mut dirs) = warm_directories_64();
         // Four chunks per thread: each committer's W signature and the
         // distinct homes of its writes.
-        let commits: Vec<(CoreId, Signature, Vec<DirId>)> = (0..4 * CORES)
+        let commits: Vec<(CoreId, Signature, Vec<DirId>)> = (0..4 * DIR_CORES)
             .map(|i| {
-                let core = CoreId(i % CORES);
-                let spec = gen.next_chunk(core.idx());
-                let writes: Vec<LineAddr> = spec
-                    .accesses()
-                    .iter()
-                    .filter(|a| a.is_write)
-                    .map(|a| a.line)
-                    .collect();
-                let mut homes: Vec<DirId> = writes
-                    .iter()
-                    .map(|&l| mapper.home_of_line(l, core))
-                    .collect();
-                homes.sort_unstable();
-                homes.dedup();
-                let w = Signature::from_lines(sig, writes.iter().map(|l| l.as_u64()));
+                let core = CoreId(i % DIR_CORES);
+                let (w, homes, _) = chunk_at_homes(&mut gen, &mut mapper, core);
                 (core, w, homes)
             })
             .collect();
@@ -253,6 +277,44 @@ fn directories(c: &mut Criterion) {
                 touched += d.apply_commit(w, *core);
             }
             touched
+        })
+    });
+    // A home read's classification (`read_source`) over the lines of
+    // Radix chunks, after one committed chunk per thread and the eviction
+    // of another's lines: committed lines read as owned, pool and warmed
+    // private lines as cached, and evicted private lines as in memory.
+    c.bench_function("directory_read_source_64", |b| {
+        let (mut gen, mut mapper, mut dirs) = warm_directories_64();
+        for core in (0..DIR_CORES).map(CoreId) {
+            let (w, homes, _) = chunk_at_homes(&mut gen, &mut mapper, core);
+            for home in homes {
+                dirs[home.idx()].apply_commit(&w, core);
+            }
+            let (_, _, evicted) = chunk_at_homes(&mut gen, &mut mapper, core);
+            for line in evicted {
+                dirs[mapper.home_of_line(line, core).idx()].drop_sharer(line, core);
+            }
+        }
+        let mut reads: Vec<(DirId, LineAddr)> = Vec::new();
+        for i in 0..4 * DIR_CORES {
+            let core = CoreId(i % DIR_CORES);
+            let (_, _, lines) = chunk_at_homes(&mut gen, &mut mapper, core);
+            reads.extend(lines.into_iter().map(|l| (mapper.home_of_line(l, core), l)));
+        }
+        let mut outcomes = [0usize; 3];
+        for &(home, line) in &reads {
+            outcomes[match dirs[home.idx()].read_source(line) {
+                ReadSource::Owner(_) => 0,
+                ReadSource::Cache => 1,
+                ReadSource::Memory => 2,
+            }] += 1;
+        }
+        assert!(outcomes.iter().all(|&n| n > 0), "outcomes {outcomes:?}");
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % reads.len();
+            let (home, line) = reads[i];
+            dirs[home.idx()].read_source(black_box(line))
         })
     });
 }

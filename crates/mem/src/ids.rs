@@ -13,7 +13,7 @@
 //! golden-snapshot regime — keep every set in window 0 and never
 //! allocate; on wider machines (the scaling sweeps) a lone sharer, a
 //! committed line's owner or any other one-window set stays inline, and
-//! cloning a spilled set bumps a refcount.
+//! cloning a spilled set bumps a refcount. Either way a set is 16 bytes.
 
 use std::fmt;
 use std::sync::Arc;
@@ -54,18 +54,14 @@ impl fmt::Display for DirId {
     }
 }
 
-/// Window value of a spilled [`WideMask`]: no bit's window (`bit >> 6`
-/// of a `u16` is at most 1023) equals it, so one comparison sends every
-/// spilled set down the slow path.
-const SPILLED: u16 = u16::MAX;
-
 /// The bit of `bit` within its 64-bit window.
 #[inline]
 const fn bit_in_window(bit: u16) -> u64 {
     1u64 << (bit & 63)
 }
 
-/// A bitset over tile-sized indices: one inline window, one shared spill.
+/// A bitset over tile-sized indices: one inline window, or shared
+/// spilled words.
 ///
 /// The index space is cut into aligned 64-bit *windows* (tiles 0–63,
 /// 64–127, …). A set whose members all fall in one window is stored
@@ -74,47 +70,47 @@ const fn bit_in_window(bit: u16) -> u64 {
 /// set on a machine of up to 64 tiles is one word of window 0. Only a
 /// set spanning two or more windows spills: its words go into a vector
 /// behind an `Arc`, which a clone shares by bumping a refcount and a
-/// mutation copies only while it is shared (`Arc::make_mut`). The thin
-/// pointer keeps the struct at 24 bytes, so a directory line's record
-/// stays 32.
+/// mutation copies only while it is shared (`Arc::make_mut`). The two
+/// forms share one enum, whose tag fits beside the window, so a set is
+/// 16 bytes and a directory page's column of 128 sharer sets is 2 KiB.
 ///
 /// The representation is canonical, so the derived `PartialEq`, `Hash`
 /// and `Debug` follow set contents:
-/// - empty: window 0, word 0, no spill;
-/// - one window: that window and its non-zero word, no spill;
-/// - two or more windows: window `SPILLED`, word 0, and a spill
-///   indexed by window with no trailing zero word.
-///
-/// A spilled set carries the sentinel window, so `bit >> 6 == win`
-/// alone decides whether `insert`, `contains` and `remove` take the
-/// one-word path, and on a machine of up to 64 tiles it always does.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct WideMask {
-    /// Window of `word`; `SPILLED` when the words live in `spill`.
-    win: u16,
-    /// Bits `64 * win ..` of an unspilled set; 0 when spilled.
-    word: u64,
+/// - empty: window 0, word 0;
+/// - one window: that window and its non-zero word;
+/// - two or more windows: a spill indexed by window with no trailing
+///   zero word.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct WideMask(Repr);
+
+/// The two forms of a [`WideMask`].
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Repr {
+    /// Every member lies in window `win`: bit `i` of `word` is member
+    /// `64 * win + i`.
+    One { win: u16, word: u64 },
     /// Every word of a set spanning two or more windows, by window.
-    spill: Option<Arc<Vec<u64>>>,
+    Many(Arc<Vec<u64>>),
+}
+
+impl Default for WideMask {
+    fn default() -> Self {
+        WideMask::empty()
+    }
 }
 
 impl WideMask {
     /// The empty mask.
     pub const fn empty() -> Self {
-        WideMask {
-            win: 0,
-            word: 0,
-            spill: None,
-        }
+        WideMask(Repr::One { win: 0, word: 0 })
     }
 
     /// A mask with one bit set.
     pub const fn single(bit: u16) -> Self {
-        WideMask {
+        WideMask(Repr::One {
             win: bit >> 6,
             word: bit_in_window(bit),
-            spill: None,
-        }
+        })
     }
 
     /// The canonical mask holding `word` in window `win`.
@@ -122,40 +118,36 @@ impl WideMask {
         if word == 0 {
             WideMask::empty()
         } else {
-            WideMask {
-                win,
-                word,
-                spill: None,
-            }
+            WideMask(Repr::One { win, word })
         }
     }
 
     /// The word of window `w` (0 outside the set's windows).
     #[inline]
     fn word_at(&self, w: usize) -> u64 {
-        match &self.spill {
-            Some(v) => v.get(w).copied().unwrap_or(0),
-            None if w == self.win as usize => self.word,
-            None => 0,
+        match &self.0 {
+            &Repr::One { win, word } if w == win as usize => word,
+            Repr::One { .. } => 0,
+            Repr::Many(v) => v.get(w).copied().unwrap_or(0),
         }
     }
 
     /// One past the highest window that may hold a member.
     fn windows(&self) -> usize {
-        self.spill
-            .as_ref()
-            .map_or(self.win as usize + 1, |v| v.len())
+        match &self.0 {
+            Repr::One { win, .. } => *win as usize + 1,
+            Repr::Many(v) => v.len(),
+        }
     }
 
     /// The non-zero words with their windows, ascending.
     fn words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let inline = (self.word != 0).then_some((self.win as usize, self.word));
-        let spilled = self
-            .spill
-            .iter()
-            .flat_map(|v| v.iter().copied().enumerate());
-        inline
-            .into_iter()
+        let (one, many) = match &self.0 {
+            &Repr::One { win, word } => (Some((win as usize, word)), None),
+            Repr::Many(v) => (None, Some(v)),
+        };
+        let spilled = many.into_iter().flat_map(|v| v.iter().copied().enumerate());
+        one.into_iter()
             .chain(spilled)
             .filter(|&(_, word)| word != 0)
     }
@@ -167,28 +159,25 @@ impl WideMask {
         if word == 0 {
             return;
         }
-        if w == self.win as usize {
-            self.word |= word;
-        } else if let Some(spill) = &mut self.spill {
-            if spill.get(w).is_some_and(|have| have & word == word) {
-                return;
+        match &mut self.0 {
+            Repr::One { win, word: have } if w == *win as usize => *have |= word,
+            Repr::One { word: 0, .. } => *self = WideMask::inline(w as u16, word),
+            &mut Repr::One { win, word: have } => {
+                let mut v = vec![0; w.max(win as usize) + 1];
+                v[win as usize] = have;
+                v[w] = word;
+                self.0 = Repr::Many(Arc::new(v));
             }
-            let v = Arc::make_mut(spill);
-            if v.len() <= w {
-                v.resize(w + 1, 0);
+            Repr::Many(spill) => {
+                if spill.get(w).is_some_and(|have| have & word == word) {
+                    return;
+                }
+                let v = Arc::make_mut(spill);
+                if v.len() <= w {
+                    v.resize(w + 1, 0);
+                }
+                v[w] |= word;
             }
-            v[w] |= word;
-        } else if self.word == 0 {
-            *self = WideMask::inline(w as u16, word);
-        } else {
-            let mut v = vec![0; w.max(self.win as usize) + 1];
-            v[self.win as usize] = self.word;
-            v[w] = word;
-            *self = WideMask {
-                win: SPILLED,
-                word: 0,
-                spill: Some(Arc::new(v)),
-            };
         }
     }
 
@@ -205,11 +194,7 @@ impl WideMask {
                 while v.last() == Some(&0) {
                     v.pop();
                 }
-                WideMask {
-                    win: SPILLED,
-                    word: 0,
-                    spill: Some(Arc::new(v)),
-                }
+                WideMask(Repr::Many(Arc::new(v)))
             }
         }
     }
@@ -218,7 +203,7 @@ impl WideMask {
     /// back inline once at most one window is non-zero, otherwise with
     /// its trailing zero words dropped.
     fn normalize(&mut self) {
-        let Some(spill) = &mut self.spill else {
+        let Repr::Many(spill) = &mut self.0 else {
             return;
         };
         let mut live = spill.iter().enumerate().filter(|(_, word)| **word != 0);
@@ -239,58 +224,55 @@ impl WideMask {
     /// Sets `bit`.
     #[inline]
     pub fn insert(&mut self, bit: u16) {
-        if bit >> 6 == self.win {
-            self.word |= bit_in_window(bit);
-        } else {
-            self.or_word((bit >> 6) as usize, bit_in_window(bit));
+        match &mut self.0 {
+            Repr::One { win, word } if bit >> 6 == *win => *word |= bit_in_window(bit),
+            _ => self.or_word((bit >> 6) as usize, bit_in_window(bit)),
         }
     }
 
     /// Clears `bit`.
     #[inline]
     pub fn remove(&mut self, bit: u16) {
-        if bit >> 6 == self.win {
-            self.word &= !bit_in_window(bit);
-            if self.word == 0 {
-                self.win = 0;
+        match &mut self.0 {
+            Repr::One { win, word } if bit >> 6 == *win => {
+                *word &= !bit_in_window(bit);
+                if *word == 0 {
+                    *win = 0;
+                }
             }
-        } else if self.contains(bit) {
-            let spill = self
-                .spill
-                .as_mut()
-                .expect("members outside `win` are spilled");
-            Arc::make_mut(spill)[(bit >> 6) as usize] &= !bit_in_window(bit);
-            self.normalize();
+            Repr::One { .. } => {}
+            Repr::Many(spill) => {
+                let w = (bit >> 6) as usize;
+                if spill
+                    .get(w)
+                    .is_some_and(|word| word & bit_in_window(bit) != 0)
+                {
+                    Arc::make_mut(spill)[w] &= !bit_in_window(bit);
+                    self.normalize();
+                }
+            }
         }
     }
 
     /// Membership test.
     #[inline]
     pub fn contains(&self, bit: u16) -> bool {
-        if bit >> 6 == self.win {
-            self.word & bit_in_window(bit) != 0
-        } else {
-            self.spill.as_ref().is_some_and(|v| {
-                v.get((bit >> 6) as usize)
-                    .is_some_and(|word| word & bit_in_window(bit) != 0)
-            })
-        }
+        self.word_at((bit >> 6) as usize) & bit_in_window(bit) != 0
     }
 
     /// Number of set bits.
     #[inline]
     pub fn count(&self) -> u32 {
-        self.word.count_ones()
-            + self
-                .spill
-                .as_ref()
-                .map_or(0, |v| v.iter().map(|w| w.count_ones()).sum())
+        match &self.0 {
+            Repr::One { word, .. } => word.count_ones(),
+            Repr::Many(v) => v.iter().map(|w| w.count_ones()).sum(),
+        }
     }
 
     /// Whether no bit is set.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.word == 0 && self.spill.is_none()
+        matches!(self.0, Repr::One { word: 0, .. })
     }
 
     /// In-place union: `self |= other`. Allocates nothing while the
@@ -298,9 +280,13 @@ impl WideMask {
     /// `other`'s spill), and a union that adds nothing to a spilled set
     /// leaves its spill shared.
     pub fn union_with(&mut self, other: &WideMask) {
-        if other.spill.is_none() && other.win == self.win {
-            self.word |= other.word;
-        } else if self.is_empty() {
+        if let (Repr::One { win, word }, &Repr::One { win: w, word: o }) = (&mut self.0, &other.0) {
+            if *win == w {
+                *word |= o;
+                return;
+            }
+        }
+        if self.is_empty() {
             *self = other.clone();
         } else {
             for (w, word) in other.words() {
@@ -319,9 +305,9 @@ impl WideMask {
     /// The mask of `f(own word, other's word)` over `self`'s windows:
     /// an operation whose result lies within `self`.
     fn within(&self, other: &WideMask, f: impl Fn(u64, u64) -> u64 + Clone) -> WideMask {
-        match &self.spill {
-            None => WideMask::inline(self.win, f(self.word, other.word_at(self.win as usize))),
-            Some(v) => WideMask::from_words(
+        match &self.0 {
+            &Repr::One { win, word } => WideMask::inline(win, f(word, other.word_at(win as usize))),
+            Repr::Many(v) => WideMask::from_words(
                 v.iter()
                     .enumerate()
                     .map(move |(w, &word)| f(word, other.word_at(w))),
@@ -342,8 +328,8 @@ impl WideMask {
     /// Whether the masks share any set bit (without materializing the
     /// intersection).
     pub fn intersects(&self, other: &WideMask) -> bool {
-        if self.spill.is_none() && other.spill.is_none() {
-            return self.win == other.win && self.word & other.word != 0;
+        if let (Repr::One { win, word }, Repr::One { win: w, word: o }) = (&self.0, &other.0) {
+            return win == w && word & o != 0;
         }
         self.words().any(|(w, word)| word & other.word_at(w) != 0)
     }
@@ -375,14 +361,14 @@ impl WideMask {
     /// sets were `Copy`). The clone is two words, or a refcount bump of
     /// a spilled set's shared words: iterating never allocates.
     pub fn iter(&self) -> MaskIter {
-        let (cur, base) = match self.spill {
-            Some(_) => (0, 0),
-            None => (self.word, self.win * 64),
+        let (cur, base, spill) = match &self.0 {
+            &Repr::One { win, word } => (word, win * 64, None),
+            Repr::Many(v) => (0, 0, Some(Arc::clone(v))),
         };
         MaskIter {
             cur,
             base,
-            spill: self.spill.clone(),
+            spill,
             next_word: 0,
         }
     }
@@ -858,35 +844,42 @@ mod tests {
     }
 
     #[test]
-    fn sets_stay_three_words() {
+    fn sets_stay_two_words() {
         use std::mem::size_of;
-        assert_eq!(size_of::<WideMask>(), 24);
-        assert_eq!(size_of::<CoreSet>(), 24);
-        assert_eq!(size_of::<DirSet>(), 24);
-        assert_eq!(size_of::<TileSet>(), 24);
+        assert_eq!(size_of::<WideMask>(), 16);
+        assert_eq!(size_of::<CoreSet>(), 16);
+        assert_eq!(size_of::<DirSet>(), 16);
+        assert_eq!(size_of::<TileSet>(), 16);
+    }
+
+    /// The shared words of a spilled set; `None` for an inline one.
+    fn spill(s: &CoreSet) -> Option<&Arc<Vec<u64>>> {
+        match &s.0 .0 {
+            Repr::Many(v) => Some(v),
+            Repr::One { .. } => None,
+        }
     }
 
     #[test]
     fn one_window_sets_stay_inline_and_clones_share_spills() {
         let mut s = CoreSet::single(CoreId(200));
         s.insert(CoreId(255));
-        assert!(s.0.spill.is_none(), "tiles 200 and 255 share window 3");
+        assert!(spill(&s).is_none(), "tiles 200 and 255 share window 3");
         s.insert(CoreId(256));
-        let spill = s.0.spill.clone().expect("tile 256 opens window 4");
+        let shared = spill(&s).cloned().expect("tile 256 opens window 4");
         let mut copy = s.clone();
-        assert!(Arc::ptr_eq(&spill, copy.0.spill.as_ref().unwrap()));
+        assert!(Arc::ptr_eq(&shared, spill(&copy).unwrap()));
         copy.union_with(&CoreSet::single(CoreId(200)));
         assert!(
-            Arc::ptr_eq(&spill, copy.0.spill.as_ref().unwrap()),
+            Arc::ptr_eq(&shared, spill(&copy).unwrap()),
             "a union that adds nothing leaves the spill shared"
         );
         copy.insert(CoreId(7));
-        assert!(!Arc::ptr_eq(&spill, copy.0.spill.as_ref().unwrap()));
+        assert!(!Arc::ptr_eq(&shared, spill(&copy).unwrap()));
         assert!(!s.contains(CoreId(7)), "the write copied the shared words");
         s.remove(CoreId(256));
-        assert_eq!(
-            (s.0.win, s.0.spill.is_none()),
-            (3, true),
+        assert!(
+            matches!(s.0 .0, Repr::One { win: 3, .. }),
             "back to one window, back inline"
         );
     }

@@ -12,7 +12,8 @@
 //! traffic class, and where the *host* time went: core-unit (plane A)
 //! busy time and unit visits (units actually run, per dispatched event),
 //! hub-plane utilization, directory signature expansions and the lines
-//! they matched, the accesses the cores executed and how many of them
+//! they matched, the directories' page records and their host bytes
+//! (`directory:`), the accesses the cores executed and how many of them
 //! were new to their chunk, the event queues' pushes and summed peak
 //! length, and peak RSS. Its `setup:` line splits the time `Machine::new`
 //! took over its passes ([`SETUP_PASSES`]), with `other` for the rest;
@@ -39,6 +40,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+use sb_mem::DirectoryState;
 use sb_net::TrafficClass::*;
 use sb_obs::json::JsonValue;
 use sb_proto::ProtocolKind;
@@ -217,6 +219,12 @@ fn main() {
         "directory expansions: {} (sharers_matching + apply_commit), {} lines matched",
         c("prof.dir_expansions"),
         c("prof.dir_lines_matched")
+    );
+    let pages = c("prof.dir_pages");
+    let page_bytes = DirectoryState::PAGE_RECORD_BYTES as u64;
+    println!(
+        "directory: {pages} page records × {page_bytes} B = {:.1} MiB",
+        (pages * page_bytes) as f64 / (1024.0 * 1024.0)
     );
     println!(
         "core-side expansions: {} (bulk_invalidate), {} lines matched",

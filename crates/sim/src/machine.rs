@@ -2473,6 +2473,10 @@ impl<P: CommitProtocol> Machine<P> {
                 .fold((0, 0), |(e, m), (de, dm)| (e + de, m + dm));
             reg.add_counter("prof.dir_expansions", expansions);
             reg.add_counter("prof.dir_lines_matched", matched);
+            reg.add_counter(
+                "prof.dir_pages",
+                self.dirs.iter().map(|d| d.page_records() as u64).sum(),
+            );
             let (expansions, matched) = self
                 .units
                 .iter()

@@ -305,6 +305,47 @@ fn profile_prints_its_setup_split() {
     }
 }
 
+/// `profile` prints the directories' page records at the end of the run
+/// with their host size, on one `directory:` line whose MiB figure is
+/// records × bytes, and writes the count as `prof.dir_pages` in its
+/// `--out` document.
+#[test]
+fn profile_prints_its_directory_pages() {
+    let path = format!("{}/profile_dir_pages.json", env!("CARGO_TARGET_TMPDIR"));
+    let out = run(PROFILE, &["--cores", "4", "--insns", "500", "--out", &path]);
+    assert!(out.status.success(), "profile exited {:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("directory: "))
+        .unwrap_or_else(|| panic!("no directory line in\n{stdout}"));
+    let (pages, bytes, mib) = line
+        .strip_prefix("directory: ")
+        .and_then(|l| l.strip_suffix(" MiB"))
+        .and_then(|l| l.split_once(" page records × "))
+        .and_then(|(pages, l)| {
+            let (bytes, mib) = l.split_once(" B = ")?;
+            Some((
+                pages.parse::<u64>().ok()?,
+                bytes.parse::<u64>().ok()?,
+                mib.parse::<f64>().ok()?,
+            ))
+        })
+        .unwrap_or_else(|| panic!("malformed directory line: {line}"));
+    assert_eq!(
+        bytes,
+        sb_mem::DirectoryState::PAGE_RECORD_BYTES as u64,
+        "{line}"
+    );
+    // The shared pool is warmed a page at a time into every machine.
+    assert!(pages > 0, "{line}");
+    let want = (pages * bytes) as f64 / (1024.0 * 1024.0);
+    assert!((mib - want).abs() <= 0.05, "{line}");
+    let doc = std::fs::read_to_string(&path).expect("profile wrote --out");
+    let key = format!("\"prof.dir_pages\": {pages}");
+    assert!(doc.contains(&key), "--out lacks {key}");
+}
+
 /// Where procfs is available, `profile` splits the minor page faults of
 /// the machine's setup over the same passes, in the same order, on one
 /// `setup faults:` line that adds up, and writes each pass as a
