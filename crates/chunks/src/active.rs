@@ -211,7 +211,7 @@ impl ActiveChunk {
 /// `Clone` allocates nothing, at any machine size: the signatures are
 /// [`SigHandle`]s and the per-directory write counts a shared slice, so
 /// both clone by refcount, and the directory sets are inline or share
-/// their spill (see [`sb_mem::WideMask`]). The protocols clone this
+/// their spill (see [`sb_mem::IdSet`]). The protocols clone this
 /// payload once per group member, per hop and per retry.
 #[derive(Clone, Debug)]
 pub struct CommitRequest {

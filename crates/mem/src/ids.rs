@@ -5,17 +5,20 @@
 //! directory modules are distinct protocol actors, so they get distinct
 //! newtypes even though they share tile numbering.
 //!
-//! The set types ([`CoreSet`], [`DirSet`], [`TileSet`]) are thin wrappers
-//! over one [`WideMask`]: a bitset that keeps a set whose members share
-//! one aligned 64-tile window inline as (window, word), and spills only a
-//! set spanning two or more windows, into words shared between clones.
-//! Machines up to 64 tiles — the paper's largest configuration and the
-//! golden-snapshot regime — keep every set in window 0 and never
-//! allocate; on wider machines (the scaling sweeps) a lone sharer, a
-//! committed line's owner or any other one-window set stays inline, and
-//! cloning a spilled set bumps a refcount. Either way a set is 16 bytes.
+//! Every set of ids is one [`IdSet`], a bitset over tile indices:
+//! [`CoreSet`], [`DirSet`] and [`TileSet`] name it over [`CoreId`],
+//! [`DirId`] and raw `u16` tiles ([`TileId`] maps each to its tile and
+//! back). A set whose members share one aligned 64-tile window is kept
+//! inline as (window, word), and only a set spanning two or more windows
+//! spills, into words shared between clones. Machines up to 64 tiles —
+//! the paper's largest configuration and the golden-snapshot regime —
+//! keep every set in window 0 and never allocate; on wider machines (the
+//! scaling sweeps) a lone sharer, a committed line's owner or any other
+//! one-window set stays inline, and cloning a spilled set bumps a
+//! refcount. Either way a set is 16 bytes.
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// A processor core (equivalently, the tile it lives on).
@@ -54,14 +57,109 @@ impl fmt::Display for DirId {
     }
 }
 
-/// The bit of `bit` within its 64-bit window.
-#[inline]
-const fn bit_in_window(bit: u16) -> u64 {
-    1u64 << (bit & 63)
+/// An id that names one tile: what an [`IdSet`] holds.
+pub trait TileId: Copy {
+    /// The tile the id names.
+    fn tile(self) -> u16;
+    /// The id of tile `t`.
+    fn from_tile(t: u16) -> Self;
 }
 
-/// A bitset over tile-sized indices: one inline window, or shared
-/// spilled words.
+impl TileId for CoreId {
+    #[inline]
+    fn tile(self) -> u16 {
+        self.0
+    }
+    #[inline]
+    fn from_tile(t: u16) -> Self {
+        CoreId(t)
+    }
+}
+
+impl TileId for DirId {
+    #[inline]
+    fn tile(self) -> u16 {
+        self.0
+    }
+    #[inline]
+    fn from_tile(t: u16) -> Self {
+        DirId(t)
+    }
+}
+
+impl TileId for u16 {
+    #[inline]
+    fn tile(self) -> u16 {
+        self
+    }
+    #[inline]
+    fn from_tile(t: u16) -> Self {
+        t
+    }
+}
+
+/// A set of cores.
+///
+/// This is the `inval_vec` of Table 1: the sharer processors that must be
+/// invalidated when a group commits, built up incrementally as the `g`
+/// message traverses the group.
+///
+/// # Examples
+///
+/// ```
+/// use sb_mem::{CoreId, CoreSet};
+///
+/// let mut s = CoreSet::empty();
+/// s.insert(CoreId(3));
+/// s.insert(CoreId(200)); // a second window: the set spills
+/// assert!(s.contains(CoreId(3)) && s.contains(CoreId(200)));
+/// assert_eq!(s.len(), 2);
+/// let others = s.without(CoreId(3));
+/// assert_eq!(others.len(), 1);
+/// ```
+pub type CoreSet = IdSet<CoreId>;
+
+/// A set of directory modules.
+///
+/// This is the `g_vec` of Table 1: the directory modules in a chunk's read-
+/// and write-sets, collected by the processor as the chunk executes.
+///
+/// # Examples
+///
+/// ```
+/// use sb_mem::{DirId, DirSet};
+///
+/// let g: DirSet = [DirId(1), DirId(4), DirId(6)].into_iter().collect();
+/// assert_eq!(g.lowest(), Some(DirId(1)));
+/// assert_eq!(g.next_after(DirId(1)), Some(DirId(4)));
+/// assert_eq!(g.next_after(DirId(6)), None);
+/// ```
+pub type DirSet = IdSet<DirId>;
+
+/// A set of tiles, used as the resource footprint of schedulable events
+/// (`ChoiceMeta` in `sb-proto`); tiles are raw `u16` indices because
+/// footprints mix core- and directory-side resources of the same tile.
+///
+/// # Examples
+///
+/// ```
+/// use sb_mem::TileSet;
+///
+/// let a: TileSet = [0u16, 2].into_iter().collect();
+/// let b = TileSet::single(2);
+/// assert!(a.intersects(&b));
+/// assert!(!a.intersects(&TileSet::single(1)));
+/// ```
+pub type TileSet = IdSet<u16>;
+
+/// The bit of tile `t` within its 64-bit window.
+#[inline]
+const fn bit_in_window(t: u16) -> u64 {
+    1u64 << (t & 63)
+}
+
+/// A set of ids over tile indices: one inline window, or shared spilled
+/// words.
 ///
 /// The index space is cut into aligned 64-bit *windows* (tiles 0–63,
 /// 64–127, …). A set whose members all fall in one window is stored
@@ -74,17 +172,17 @@ const fn bit_in_window(bit: u16) -> u64 {
 /// forms share one enum, whose tag fits beside the window, so a set is
 /// 16 bytes and a directory page's column of 128 sharer sets is 2 KiB.
 ///
-/// The representation is canonical, so the derived `PartialEq`, `Hash`
-/// and `Debug` follow set contents:
+/// The representation is canonical, so the derived `PartialEq` and
+/// `Hash` follow set contents (and `Debug` prints the members):
 /// - empty: window 0, word 0;
 /// - one window: that window and its non-zero word;
 /// - two or more windows: a spill indexed by window with no trailing
 ///   zero word.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct WideMask(Repr);
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct IdSet<I>(Repr, PhantomData<I>);
 
-/// The two forms of a [`WideMask`].
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// The two forms of an [`IdSet`].
+#[derive(Clone, PartialEq, Eq, Hash)]
 enum Repr {
     /// Every member lies in window `win`: bit `i` of `word` is member
     /// `64 * win + i`.
@@ -93,32 +191,46 @@ enum Repr {
     Many(Arc<Vec<u64>>),
 }
 
-impl Default for WideMask {
+impl<I: TileId> Default for IdSet<I> {
     fn default() -> Self {
-        WideMask::empty()
+        IdSet::empty()
     }
 }
 
-impl WideMask {
-    /// The empty mask.
+impl<I: TileId + fmt::Debug> fmt::Debug for IdSet<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl<I: TileId> FromIterator<I> for IdSet<I> {
+    fn from_iter<T: IntoIterator<Item = I>>(iter: T) -> Self {
+        let mut s = IdSet::empty();
+        for id in iter {
+            s.insert(id);
+        }
+        s
+    }
+}
+
+impl<I: TileId> IdSet<I> {
+    /// The empty set.
     pub const fn empty() -> Self {
-        WideMask(Repr::One { win: 0, word: 0 })
+        IdSet(Repr::One { win: 0, word: 0 }, PhantomData)
     }
 
-    /// A mask with one bit set.
-    pub const fn single(bit: u16) -> Self {
-        WideMask(Repr::One {
-            win: bit >> 6,
-            word: bit_in_window(bit),
-        })
+    /// A set with a single member.
+    pub fn single(id: I) -> Self {
+        let t = id.tile();
+        IdSet::inline(t >> 6, bit_in_window(t))
     }
 
-    /// The canonical mask holding `word` in window `win`.
+    /// The canonical set holding `word` in window `win`.
     fn inline(win: u16, word: u64) -> Self {
         if word == 0 {
-            WideMask::empty()
+            IdSet::empty()
         } else {
-            WideMask(Repr::One { win, word })
+            IdSet(Repr::One { win, word }, PhantomData)
         }
     }
 
@@ -161,7 +273,7 @@ impl WideMask {
         }
         match &mut self.0 {
             Repr::One { win, word: have } if w == *win as usize => *have |= word,
-            Repr::One { word: 0, .. } => *self = WideMask::inline(w as u16, word),
+            Repr::One { word: 0, .. } => *self = IdSet::inline(w as u16, word),
             &mut Repr::One { win, word: have } => {
                 let mut v = vec![0; w.max(win as usize) + 1];
                 v[win as usize] = have;
@@ -181,20 +293,20 @@ impl WideMask {
         }
     }
 
-    /// The canonical mask of `words` (window-indexed). It walks them
+    /// The canonical set of `words` (window-indexed). It walks them
     /// once to find whether two windows are non-zero, and only then
     /// collects them into a spill.
     fn from_words(words: impl Iterator<Item = u64> + Clone) -> Self {
         let mut live = words.clone().enumerate().filter(|&(_, word)| word != 0);
         match (live.next(), live.next()) {
-            (None, _) => WideMask::empty(),
-            (Some((w, word)), None) => WideMask::inline(w as u16, word),
+            (None, _) => IdSet::empty(),
+            (Some((w, word)), None) => IdSet::inline(w as u16, word),
             (Some(_), Some(_)) => {
                 let mut v: Vec<u64> = words.collect();
                 while v.last() == Some(&0) {
                     v.pop();
                 }
-                WideMask(Repr::Many(Arc::new(v)))
+                IdSet(Repr::Many(Arc::new(v)), PhantomData)
             }
         }
     }
@@ -208,8 +320,8 @@ impl WideMask {
         };
         let mut live = spill.iter().enumerate().filter(|(_, word)| **word != 0);
         match (live.next(), live.next()) {
-            (None, _) => *self = WideMask::empty(),
-            (Some((w, &word)), None) => *self = WideMask::inline(w as u16, word),
+            (None, _) => *self = IdSet::empty(),
+            (Some((w, &word)), None) => *self = IdSet::inline(w as u16, word),
             (Some(_), Some(_)) => {
                 if spill.last() == Some(&0) {
                     let v = Arc::make_mut(spill);
@@ -221,65 +333,76 @@ impl WideMask {
         }
     }
 
-    /// Sets `bit`.
+    /// Adds a member.
     #[inline]
-    pub fn insert(&mut self, bit: u16) {
+    pub fn insert(&mut self, id: I) {
+        let t = id.tile();
         match &mut self.0 {
-            Repr::One { win, word } if bit >> 6 == *win => *word |= bit_in_window(bit),
-            _ => self.or_word((bit >> 6) as usize, bit_in_window(bit)),
+            Repr::One { win, word } if t >> 6 == *win => *word |= bit_in_window(t),
+            _ => self.or_word((t >> 6) as usize, bit_in_window(t)),
         }
     }
 
-    /// Clears `bit`.
+    /// Removes a member.
     #[inline]
-    pub fn remove(&mut self, bit: u16) {
+    pub fn remove(&mut self, id: I) {
+        let t = id.tile();
         match &mut self.0 {
-            Repr::One { win, word } if bit >> 6 == *win => {
-                *word &= !bit_in_window(bit);
+            Repr::One { win, word } if t >> 6 == *win => {
+                *word &= !bit_in_window(t);
                 if *word == 0 {
                     *win = 0;
                 }
             }
             Repr::One { .. } => {}
             Repr::Many(spill) => {
-                let w = (bit >> 6) as usize;
+                let w = (t >> 6) as usize;
                 if spill
                     .get(w)
-                    .is_some_and(|word| word & bit_in_window(bit) != 0)
+                    .is_some_and(|word| word & bit_in_window(t) != 0)
                 {
-                    Arc::make_mut(spill)[w] &= !bit_in_window(bit);
+                    Arc::make_mut(spill)[w] &= !bit_in_window(t);
                     self.normalize();
                 }
             }
         }
     }
 
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, bit: u16) -> bool {
-        self.word_at((bit >> 6) as usize) & bit_in_window(bit) != 0
+    /// A copy of the set with `id` removed.
+    pub fn without(&self, id: I) -> Self {
+        let mut s = self.clone();
+        s.remove(id);
+        s
     }
 
-    /// Number of set bits.
+    /// Membership test.
     #[inline]
-    pub fn count(&self) -> u32 {
+    pub fn contains(&self, id: I) -> bool {
+        let t = id.tile();
+        self.word_at((t >> 6) as usize) & bit_in_window(t) != 0
+    }
+
+    /// Number of members.
+    #[inline]
+    pub fn len(&self) -> u32 {
         match &self.0 {
             Repr::One { word, .. } => word.count_ones(),
             Repr::Many(v) => v.iter().map(|w| w.count_ones()).sum(),
         }
     }
 
-    /// Whether no bit is set.
+    /// Whether the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
         matches!(self.0, Repr::One { word: 0, .. })
     }
 
-    /// In-place union: `self |= other`. Allocates nothing while the
-    /// result fits one window or `self` is empty (it then shares
-    /// `other`'s spill), and a union that adds nothing to a spilled set
-    /// leaves its spill shared.
-    pub fn union_with(&mut self, other: &WideMask) {
+    /// In-place set union: `self |= other` (the hot path of directory
+    /// signature expansion — no temporary set per visited line).
+    /// Allocates nothing while the result fits one window or `self` is
+    /// empty (it then shares `other`'s spill), and a union that adds
+    /// nothing to a spilled set leaves its spill shared.
+    pub fn union_with(&mut self, other: &Self) {
         if let (Repr::One { win, word }, &Repr::One { win: w, word: o }) = (&mut self.0, &other.0) {
             if *win == w {
                 *word |= o;
@@ -295,19 +418,19 @@ impl WideMask {
         }
     }
 
-    /// Union as a new mask.
-    pub fn union(&self, other: &WideMask) -> WideMask {
-        let mut m = self.clone();
-        m.union_with(other);
-        m
+    /// Set union.
+    pub fn union(&self, other: &Self) -> Self {
+        let mut s = self.clone();
+        s.union_with(other);
+        s
     }
 
-    /// The mask of `f(own word, other's word)` over `self`'s windows:
+    /// The set of `f(own word, other's word)` over `self`'s windows:
     /// an operation whose result lies within `self`.
-    fn within(&self, other: &WideMask, f: impl Fn(u64, u64) -> u64 + Clone) -> WideMask {
+    fn within(&self, other: &Self, f: impl Fn(u64, u64) -> u64 + Clone) -> Self {
         match &self.0 {
-            &Repr::One { win, word } => WideMask::inline(win, f(word, other.word_at(win as usize))),
-            Repr::Many(v) => WideMask::from_words(
+            &Repr::One { win, word } => IdSet::inline(win, f(word, other.word_at(win as usize))),
+            Repr::Many(v) => IdSet::from_words(
                 v.iter()
                     .enumerate()
                     .map(move |(w, &word)| f(word, other.word_at(w))),
@@ -315,35 +438,37 @@ impl WideMask {
         }
     }
 
-    /// Intersection as a new mask.
-    pub fn intersect(&self, other: &WideMask) -> WideMask {
+    /// Set intersection.
+    pub fn intersect(&self, other: &Self) -> Self {
         self.within(other, |a, b| a & b)
     }
 
-    /// Difference (`self & !other`) as a new mask.
-    pub fn difference(&self, other: &WideMask) -> WideMask {
+    /// Set difference: the members of `self` not in `other`.
+    pub fn difference(&self, other: &Self) -> Self {
         self.within(other, |a, b| a & !b)
     }
 
-    /// Whether the masks share any set bit (without materializing the
-    /// intersection).
-    pub fn intersects(&self, other: &WideMask) -> bool {
+    /// Whether the sets share a member (without materializing the
+    /// intersection) — the overlap test DPOR independence is built on.
+    pub fn intersects(&self, other: &Self) -> bool {
         if let (Repr::One { win, word }, Repr::One { win: w, word: o }) = (&self.0, &other.0) {
             return win == w && word & o != 0;
         }
         self.words().any(|(w, word)| word & other.word_at(w) != 0)
     }
 
-    /// The lowest set bit, if any.
+    /// The lowest-numbered member — the baseline group-leader policy
+    /// (§3.2 of the paper).
     #[inline]
-    pub fn lowest(&self) -> Option<u16> {
+    pub fn lowest(&self) -> Option<I> {
         let (w, word) = self.words().next()?;
-        Some((w as u32 * 64 + word.trailing_zeros()) as u16)
+        Some(I::from_tile((w as u32 * 64 + word.trailing_zeros()) as u16))
     }
 
-    /// The lowest set bit strictly above `bit`, if any.
-    pub fn next_after(&self, bit: u16) -> Option<u16> {
-        let next = bit as usize + 1;
+    /// The next member strictly after `id` in increasing order — the
+    /// fixed traversal order of the group-formation `g` message.
+    pub fn next_after(&self, id: I) -> Option<I> {
+        let next = id.tile() as usize + 1;
         // Remaining bits of the window `next` falls in, then later ones.
         let (first, skip) = (next / 64, next % 64);
         (first..self.windows()).find_map(|w| {
@@ -351,44 +476,44 @@ impl WideMask {
             if w == first {
                 word &= !0u64 << skip;
             }
-            (word != 0).then(|| (w * 64) as u16 + word.trailing_zeros() as u16)
+            (word != 0).then(|| I::from_tile((w * 64) as u16 + word.trailing_zeros() as u16))
         })
     }
 
-    /// Iterates the set bits in increasing order. The iterator owns a
-    /// clone of the mask, so it never borrows `self` (callers may mutate
+    /// Iterates over members in increasing order. The iterator owns a
+    /// clone of the set, so it never borrows `self` (callers may mutate
     /// the originating structure while iterating, as they could when the
     /// sets were `Copy`). The clone is two words, or a refcount bump of
     /// a spilled set's shared words: iterating never allocates.
-    pub fn iter(&self) -> MaskIter {
+    pub fn iter(&self) -> impl Iterator<Item = I> {
         let (cur, base, spill) = match &self.0 {
             &Repr::One { win, word } => (word, win * 64, None),
             Repr::Many(v) => (0, 0, Some(Arc::clone(v))),
         };
-        MaskIter {
+        Tiles {
             cur,
             base,
             spill,
             next_word: 0,
         }
+        .map(I::from_tile)
     }
 }
 
-/// Iterator over the set bits of a [`WideMask`], ascending. It shares a
-/// spilled mask's words rather than copying them.
-#[derive(Clone, Debug)]
-pub struct MaskIter {
+/// The member tiles of an [`IdSet`], ascending. It shares a spilled
+/// set's words rather than copying them.
+struct Tiles {
     /// Unconsumed bits of the current word.
     cur: u64,
-    /// Bit offset of the current word.
+    /// Tile of bit 0 of the current word.
     base: u16,
-    /// A spilled mask's words, still to visit from `next_word`.
+    /// A spilled set's words, still to visit from `next_word`.
     spill: Option<Arc<Vec<u64>>>,
     /// Index into `spill` of the next word to load.
     next_word: usize,
 }
 
-impl Iterator for MaskIter {
+impl Iterator for Tiles {
     type Item = u16;
 
     fn next(&mut self) -> Option<u16> {
@@ -403,302 +528,6 @@ impl Iterator for MaskIter {
             self.base = 64 * self.next_word as u16;
             self.next_word += 1;
         }
-    }
-}
-
-/// A set of cores, inline while its members share one 64-core window
-/// and spilled into shared words beyond (see [`WideMask`]).
-///
-/// This is the `inval_vec` of Table 1: the sharer processors that must be
-/// invalidated when a group commits, built up incrementally as the `g`
-/// message traverses the group.
-///
-/// # Examples
-///
-/// ```
-/// use sb_mem::{CoreId, CoreSet};
-///
-/// let mut s = CoreSet::empty();
-/// s.insert(CoreId(3));
-/// s.insert(CoreId(200)); // a second window: the set spills
-/// assert!(s.contains(CoreId(3)) && s.contains(CoreId(200)));
-/// assert_eq!(s.len(), 2);
-/// let others = s.without(CoreId(3));
-/// assert_eq!(others.len(), 1);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct CoreSet(WideMask);
-
-impl CoreSet {
-    /// The empty set.
-    pub const fn empty() -> Self {
-        CoreSet(WideMask::empty())
-    }
-
-    /// A set with a single member.
-    pub fn single(c: CoreId) -> Self {
-        CoreSet(WideMask::single(c.0))
-    }
-
-    /// Adds a core.
-    #[inline]
-    pub fn insert(&mut self, c: CoreId) {
-        self.0.insert(c.0);
-    }
-
-    /// Removes a core.
-    #[inline]
-    pub fn remove(&mut self, c: CoreId) {
-        self.0.remove(c.0);
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, c: CoreId) -> bool {
-        self.0.contains(c.0)
-    }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> u32 {
-        self.0.count()
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Set union.
-    #[inline]
-    pub fn union(&self, other: &CoreSet) -> CoreSet {
-        CoreSet(self.0.union(&other.0))
-    }
-
-    /// In-place set union (the hot path of directory signature
-    /// expansion — no temporary set per visited line).
-    #[inline]
-    pub fn union_with(&mut self, other: &CoreSet) {
-        self.0.union_with(&other.0);
-    }
-
-    /// A copy of the set with `c` removed.
-    #[inline]
-    pub fn without(&self, c: CoreId) -> CoreSet {
-        let mut s = self.clone();
-        s.remove(c);
-        s
-    }
-
-    /// Iterates over members in increasing ID order. The iterator is
-    /// self-contained (owns a clone that never allocates), like the old
-    /// `Copy` sets.
-    pub fn iter(&self) -> impl Iterator<Item = CoreId> {
-        self.0.iter().map(CoreId)
-    }
-}
-
-impl FromIterator<CoreId> for CoreSet {
-    fn from_iter<I: IntoIterator<Item = CoreId>>(iter: I) -> Self {
-        let mut s = CoreSet::empty();
-        for c in iter {
-            s.insert(c);
-        }
-        s
-    }
-}
-
-/// A set of directory modules, inline while its members share one
-/// 64-module window and spilled into shared words beyond (see
-/// [`WideMask`]).
-///
-/// This is the `g_vec` of Table 1: the directory modules in a chunk's read-
-/// and write-sets, collected by the processor as the chunk executes.
-///
-/// # Examples
-///
-/// ```
-/// use sb_mem::{DirId, DirSet};
-///
-/// let g: DirSet = [DirId(1), DirId(4), DirId(6)].into_iter().collect();
-/// assert_eq!(g.lowest(), Some(DirId(1)));
-/// assert_eq!(g.next_after(DirId(1)), Some(DirId(4)));
-/// assert_eq!(g.next_after(DirId(6)), None);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct DirSet(WideMask);
-
-impl DirSet {
-    /// The empty set.
-    pub const fn empty() -> Self {
-        DirSet(WideMask::empty())
-    }
-
-    /// A set with a single member.
-    pub fn single(d: DirId) -> Self {
-        DirSet(WideMask::single(d.0))
-    }
-
-    /// Adds a directory.
-    #[inline]
-    pub fn insert(&mut self, d: DirId) {
-        self.0.insert(d.0);
-    }
-
-    /// Removes a directory.
-    #[inline]
-    pub fn remove(&mut self, d: DirId) {
-        self.0.remove(d.0);
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, d: DirId) -> bool {
-        self.0.contains(d.0)
-    }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> u32 {
-        self.0.count()
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Set union.
-    #[inline]
-    pub fn union(&self, other: &DirSet) -> DirSet {
-        DirSet(self.0.union(&other.0))
-    }
-
-    /// In-place set union.
-    #[inline]
-    pub fn union_with(&mut self, other: &DirSet) {
-        self.0.union_with(&other.0);
-    }
-
-    /// Set intersection.
-    #[inline]
-    pub fn intersect(&self, other: &DirSet) -> DirSet {
-        DirSet(self.0.intersect(&other.0))
-    }
-
-    /// Set difference: the members of `self` not in `other`.
-    #[inline]
-    pub fn difference(&self, other: &DirSet) -> DirSet {
-        DirSet(self.0.difference(&other.0))
-    }
-
-    /// The lowest-numbered member — the baseline group-leader policy
-    /// (§3.2 of the paper).
-    #[inline]
-    pub fn lowest(&self) -> Option<DirId> {
-        self.0.lowest().map(DirId)
-    }
-
-    /// The next member strictly after `d` in increasing ID order — the
-    /// fixed traversal order of the group-formation `g` message.
-    #[inline]
-    pub fn next_after(&self, d: DirId) -> Option<DirId> {
-        self.0.next_after(d.0).map(DirId)
-    }
-
-    /// Iterates over members in increasing ID order. The iterator is
-    /// self-contained (owns a clone that never allocates), like the old
-    /// `Copy` sets.
-    pub fn iter(&self) -> impl Iterator<Item = DirId> {
-        self.0.iter().map(DirId)
-    }
-}
-
-impl FromIterator<DirId> for DirSet {
-    fn from_iter<I: IntoIterator<Item = DirId>>(iter: I) -> Self {
-        let mut s = DirSet::empty();
-        for d in iter {
-            s.insert(d);
-        }
-        s
-    }
-}
-
-/// A set of tiles, used as the resource footprint of schedulable events
-/// (`ChoiceMeta` in `sb-proto`). Same inline-window/shared-spill storage
-/// as [`CoreSet`]/[`DirSet`]; tiles are raw `u16` indices because footprints
-/// mix core- and directory-side resources of the same tile.
-///
-/// # Examples
-///
-/// ```
-/// use sb_mem::TileSet;
-///
-/// let a: TileSet = [0u16, 2].into_iter().collect();
-/// let b = TileSet::single(2);
-/// assert!(a.intersects(&b));
-/// assert!(!a.intersects(&TileSet::single(1)));
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct TileSet(WideMask);
-
-impl TileSet {
-    /// The empty set.
-    pub const fn empty() -> Self {
-        TileSet(WideMask::empty())
-    }
-
-    /// A set with a single member.
-    pub fn single(t: u16) -> Self {
-        TileSet(WideMask::single(t))
-    }
-
-    /// Adds a tile.
-    #[inline]
-    pub fn insert(&mut self, t: u16) {
-        self.0.insert(t);
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, t: u16) -> bool {
-        self.0.contains(t)
-    }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> u32 {
-        self.0.count()
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Whether the sets share a tile — the overlap test DPOR independence
-    /// is built on.
-    #[inline]
-    pub fn intersects(&self, other: &TileSet) -> bool {
-        self.0.intersects(&other.0)
-    }
-
-    /// Iterates over members in increasing index order.
-    pub fn iter(&self) -> impl Iterator<Item = u16> {
-        self.0.iter()
-    }
-}
-
-impl FromIterator<u16> for TileSet {
-    fn from_iter<I: IntoIterator<Item = u16>>(iter: I) -> Self {
-        let mut s = TileSet::empty();
-        for t in iter {
-            s.insert(t);
-        }
-        s
     }
 }
 
@@ -844,9 +673,15 @@ mod tests {
     }
 
     #[test]
+    fn debug_prints_the_members() {
+        let s: CoreSet = [CoreId(200), CoreId(3)].into_iter().collect();
+        assert_eq!(format!("{s:?}"), "{CoreId(3), CoreId(200)}");
+        assert_eq!(format!("{:?}", TileSet::empty()), "{}");
+    }
+
+    #[test]
     fn sets_stay_two_words() {
         use std::mem::size_of;
-        assert_eq!(size_of::<WideMask>(), 16);
         assert_eq!(size_of::<CoreSet>(), 16);
         assert_eq!(size_of::<DirSet>(), 16);
         assert_eq!(size_of::<TileSet>(), 16);
@@ -854,7 +689,7 @@ mod tests {
 
     /// The shared words of a spilled set; `None` for an inline one.
     fn spill(s: &CoreSet) -> Option<&Arc<Vec<u64>>> {
-        match &s.0 .0 {
+        match &s.0 {
             Repr::Many(v) => Some(v),
             Repr::One { .. } => None,
         }
@@ -879,7 +714,7 @@ mod tests {
         assert!(!s.contains(CoreId(7)), "the write copied the shared words");
         s.remove(CoreId(256));
         assert!(
-            matches!(s.0 .0, Repr::One { win: 3, .. }),
+            matches!(s.0, Repr::One { win: 3, .. }),
             "back to one window, back inline"
         );
     }

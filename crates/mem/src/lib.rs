@@ -42,5 +42,5 @@ pub use addr::{page_masks, Addr, LineAddr, LineSet, PageAddr, LINE_BYTES, PAGE_B
 pub use cache::{CacheConfig, SetAssocCache};
 pub use dirstate::{DirectoryState, ReadSource};
 pub use hierarchy::{CacheHierarchy, CacheHierarchyConfig, HitLevel};
-pub use ids::{CoreId, CoreSet, DirId, DirSet, MaskIter, TileSet, WideMask};
+pub use ids::{CoreId, CoreSet, DirId, DirSet, IdSet, TileId, TileSet};
 pub use page::{PageMapPolicy, PageMapper};

@@ -1,8 +1,9 @@
 //! Model-based property tests for the wide core and directory sets.
 //!
-//! `CoreSet`/`DirSet` are `WideMask` wrappers: a set whose members share
-//! one aligned 64-id window is stored inline as (window, word), and a set
-//! spanning two or more windows spills into words shared between clones.
+//! `CoreSet`/`DirSet` are the one generic `IdSet` over core and directory
+//! ids: a set whose members share one aligned 64-id window is stored
+//! inline as (window, word), and a set spanning two or more windows
+//! spills into words shared between clones.
 //! Every operation is checked here against the obvious `BTreeSet<u16>`
 //! reference model over three id universes:
 //! - `0..160`: three windows, so inserts and removals cross between
@@ -13,7 +14,7 @@
 //!   window 0 and spills carry fourteen leading zero words.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
@@ -59,6 +60,20 @@ fn build(ops: &[(bool, u16)]) -> (CoreSet, BTreeSet<u16>) {
 
 fn dirset(model: &BTreeSet<u16>) -> DirSet {
     model.iter().map(|&i| DirId(i)).collect()
+}
+
+fn coreset(model: &BTreeSet<u16>) -> CoreSet {
+    model.iter().map(|&i| CoreId(i)).collect()
+}
+
+/// The model's members split by 64-id window, one set per non-empty
+/// window.
+fn windows(model: &BTreeSet<u16>) -> Vec<BTreeSet<u16>> {
+    let mut parts: BTreeMap<u16, BTreeSet<u16>> = BTreeMap::new();
+    for &id in model {
+        parts.entry(id / 64).or_default().insert(id);
+    }
+    parts.into_values().collect()
 }
 
 fn members(set: &CoreSet) -> Vec<u16> {
@@ -119,6 +134,30 @@ proptest! {
         }
     }
 
+    /// `intersects` agrees with the model on the whole sets, spilled or
+    /// inline, and on every pair of their one-window parts, which are
+    /// inline sets: the same bits in two windows share no member.
+    #[test]
+    fn intersects_matches_model(
+        a in proptest::collection::vec((any::<bool>(), any::<u16>()), 0..80),
+        b in proptest::collection::vec((any::<bool>(), any::<u16>()), 0..80),
+    ) {
+        for universe in UNIVERSES {
+            let (sa, ma) = build(&fold(&a, universe));
+            let (sb, mb) = build(&fold(&b, universe));
+            let want = ma.intersection(&mb).next().is_some();
+            prop_assert_eq!(sa.intersects(&sb), want);
+            prop_assert_eq!(sb.intersects(&sa), want);
+            for pa in windows(&ma) {
+                for pb in windows(&mb) {
+                    let (ca, cb) = (coreset(&pa), coreset(&pb));
+                    let want = pa.intersection(&pb).next().is_some();
+                    prop_assert_eq!(ca.intersects(&cb), want, "{:?} vs {:?}", pa, pb);
+                }
+            }
+        }
+    }
+
     /// `without` removes exactly one member.
     #[test]
     fn without_matches_model(
@@ -176,7 +215,7 @@ proptest! {
     ) {
         for universe in UNIVERSES {
             let (set, model) = build(&fold(&ops, universe));
-            let direct: CoreSet = model.iter().map(|&i| CoreId(i)).collect();
+            let direct = coreset(&model);
             prop_assert_eq!(&set, &direct);
             let mut h = HashSet::new();
             h.insert(set);
@@ -233,7 +272,7 @@ proptest! {
     ) {
         for universe in UNIVERSES {
             let (streamed, model) = build(&fold(&ops, universe));
-            let ascending: CoreSet = model.iter().map(|&i| CoreId(i)).collect();
+            let ascending = coreset(&model);
             let descending: CoreSet = model.iter().rev().map(|&i| CoreId(i)).collect();
             let mut order: Vec<u16> = model.iter().copied().collect();
             order.sort_by_key(|&id| {

@@ -38,7 +38,7 @@ pub struct PerturbationConfig {
     pub class_extra: [u64; 5],
     /// Keep deliveries on the same ordered (src, dst) pair FIFO by
     /// clamping each arrival to be no earlier than the pair's previous
-    /// one. On by default: the [`sb_proto::CommitProtocol`] contract
+    /// one. On by default: the `sb_proto::CommitProtocol` contract
     /// promises protocols point-to-point ordering, so breaking it finds
     /// host-model bugs, not protocol bugs.
     pub preserve_pair_order: bool,

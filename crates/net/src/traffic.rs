@@ -151,7 +151,7 @@ impl TrafficCounters {
         self.flits.iter().sum()
     }
 
-    /// Wire bytes recorded in `class` ([`FLIT_BITS`] per flit).
+    /// Wire bytes recorded in `class` (`FLIT_BITS` per flit).
     pub fn bytes(&self, class: TrafficClass) -> u64 {
         self.flits(class) * (FLIT_BITS as u64 / 8)
     }

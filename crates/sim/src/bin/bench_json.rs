@@ -34,8 +34,8 @@
 //!
 //! `--max-rss-mb MB` (implies `--profile`) additionally gates on
 //! memory: the process exits non-zero if any cell's peak RSS exceeds
-//! the budget — the measuring stick for the memory-lean >=256-core
-//! directory state.
+//! the budget of `MB` MiB (2^20 bytes, compared to the byte) — the
+//! measuring stick for the memory-lean >=256-core directory state.
 //!
 //! `--jobs N` runs the cells on worker threads (simulated outcomes are
 //! unaffected; results merge in cell order). The default stays `1`:
@@ -60,6 +60,9 @@ use sb_sim::experiments::Sweep;
 use sb_sim::parallel::parallel_map;
 use sb_sim::run_simulation;
 use sb_workloads::AppProfile;
+
+/// Bytes per MiB, the unit of `--max-rss-mb`.
+const MIB: u64 = 1 << 20;
 
 struct Entry {
     protocol: ProtocolKind,
@@ -166,90 +169,62 @@ fn main() {
         ));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"sim_throughput\",\n");
-    json.push_str("  \"app\": \"fft\",\n");
-    json.push_str(&format!(
-        "  \"insns_per_thread\": {},\n",
-        sweep.insns_per_thread
-    ));
-    json.push_str(&format!("  \"repeats\": {repeats},\n"));
-    json.push_str("  \"runs\": [\n");
-    for (i, e) in entries.iter().enumerate() {
+    let mut runs = Vec::new();
+    for e in &entries {
         let p = &e.result.perf;
-        // Phase wall-times come from the run's metrics registry.
-        let phase = |name| e.result.metrics.gauge(name).unwrap_or(0.0);
-        json.push_str(&format!(
-            concat!(
-                "    {{\"protocol\": \"{}\", \"cores\": {}, \"fabric\": \"{}\", ",
-                "\"wall_cycles\": {}, \"commits\": {}, ",
-                "\"events\": {}, \"protocol_steps\": {}, ",
-                "\"wall_secs\": {:.6}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, ",
-                "\"sim_cycles_per_sec\": {:.0}, ",
-                "\"phase_setup_secs\": {:.6}, \"phase_run_secs\": {:.6}, ",
-                "\"phase_drain_secs\": {:.6}}}{}\n"
-            ),
-            e.protocol,
-            e.cores,
-            e.fabric,
-            e.result.wall_cycles,
-            e.result.commits,
-            p.events_dispatched,
-            p.protocol_steps,
-            p.wall.as_secs_f64(),
-            p.wall.as_secs_f64() * 1e3,
-            p.events_per_sec(),
-            p.sim_cycles_per_sec(),
-            phase("phase.setup_secs"),
-            phase("phase.run_secs"),
-            phase("phase.drain_secs"),
-            // With --profile a prof object always follows this one, so
-            // the comma is unconditional there.
-            if profile || i + 1 != entries.len() {
-                ","
-            } else {
-                ""
-            },
-        ));
+        let m = &e.result.metrics;
+        // Phase wall-times and profiling gauges come from the run's
+        // metrics registry.
+        let gauge = |name| m.gauge(name).unwrap_or(0.0);
+        let cell = [
+            ("protocol", JsonValue::from(e.protocol.to_string())),
+            ("cores", JsonValue::from(u64::from(e.cores))),
+            ("fabric", JsonValue::from(e.fabric.as_str())),
+        ];
+        let wall = p.wall.as_secs_f64();
+        runs.push(JsonValue::obj(cell.clone().into_iter().chain([
+            ("wall_cycles", JsonValue::from(e.result.wall_cycles)),
+            ("commits", JsonValue::from(e.result.commits)),
+            ("events", JsonValue::from(p.events_dispatched)),
+            ("protocol_steps", JsonValue::from(p.protocol_steps)),
+            ("wall_secs", places(wall, 6)),
+            ("wall_ms", places(wall * 1e3, 3)),
+            ("events_per_sec", places(p.events_per_sec(), 0)),
+            ("sim_cycles_per_sec", places(p.sim_cycles_per_sec(), 0)),
+            ("phase_setup_secs", places(gauge("phase.setup_secs"), 6)),
+            ("phase_run_secs", places(gauge("phase.run_secs"), 6)),
+            ("phase_drain_secs", places(gauge("phase.drain_secs"), 6)),
+        ])));
         if profile {
             // Host self-profiling fields (see the `profile` binary for
             // the human-readable report of the same counters).
-            let m = &e.result.metrics;
-            let c = |name| m.counter(name).unwrap_or(0);
-            json.push_str(&format!(
-                concat!(
-                    "    {{\"prof\": true, \"protocol\": \"{}\", \"cores\": {}, ",
-                    "\"fabric\": \"{}\", ",
-                    "\"superphases\": {}, \"unit_visits\": {}, \"hub_busy_phases\": {}, ",
-                    "\"hub_utilization\": {:.6}, ",
-                    "\"queue_pushes\": {}, \"queue_peak_len\": {}, ",
-                    "\"dir_expansions\": {}, ",
-                    "\"dir_lines_matched\": {}, \"core_expansions\": {}, ",
-                    "\"core_lines_matched\": {}, \"accesses\": {}, ",
-                    "\"lines_recorded\": {}, \"peak_rss_bytes\": {}}}{}\n"
-                ),
-                e.protocol,
-                e.cores,
-                e.fabric,
-                c("prof.superphases"),
-                c("prof.unit_visits"),
-                c("prof.hub_busy_phases"),
-                m.gauge("prof.hub_utilization").unwrap_or(0.0),
-                c("prof.queue.ring_pushes"),
-                m.gauge("prof.queue.ring_hwm").unwrap_or(0.0) as u64,
-                c("prof.dir_expansions"),
-                c("prof.dir_lines_matched"),
-                c("prof.core_expansions"),
-                c("prof.core_lines_matched"),
-                c("prof.accesses"),
-                c("prof.lines_recorded"),
-                m.gauge("prof.peak_rss_bytes").unwrap_or(0.0) as u64,
-                if i + 1 == entries.len() { "" } else { "," },
-            ));
+            let c = |name| JsonValue::from(m.counter(name).unwrap_or(0));
+            let prof = [("prof", JsonValue::from(true))];
+            runs.push(JsonValue::obj(prof.into_iter().chain(cell).chain([
+                ("superphases", c("prof.superphases")),
+                ("unit_visits", c("prof.unit_visits")),
+                ("hub_busy_phases", c("prof.hub_busy_phases")),
+                ("hub_utilization", places(gauge("prof.hub_utilization"), 6)),
+                ("queue_pushes", c("prof.queue.ring_pushes")),
+                ("queue_peak_len", places(gauge("prof.queue.ring_hwm"), 0)),
+                ("dir_expansions", c("prof.dir_expansions")),
+                ("dir_lines_matched", c("prof.dir_lines_matched")),
+                ("core_expansions", c("prof.core_expansions")),
+                ("core_lines_matched", c("prof.core_lines_matched")),
+                ("accesses", c("prof.accesses")),
+                ("lines_recorded", c("prof.lines_recorded")),
+                ("peak_rss_bytes", places(gauge("prof.peak_rss_bytes"), 0)),
+            ])));
         }
     }
-    json.push_str("  ]\n}\n");
+    let json = JsonValue::obj([
+        ("benchmark", JsonValue::from("sim_throughput")),
+        ("app", JsonValue::from("fft")),
+        ("insns_per_thread", JsonValue::from(sweep.insns_per_thread)),
+        ("repeats", JsonValue::from(u64::from(repeats))),
+        ("runs", JsonValue::Array(runs)),
+    ])
+    .to_string_pretty();
     cli::write_or_exit("bench", &out_path, &json);
     cli::note(format_args!("[bench] wrote {out_path}"));
 
@@ -257,12 +232,12 @@ fn main() {
         let over = check_rss(&entries, limit_mb);
         if over > 0 {
             cli::note(format_args!(
-                "[bench] FAIL: {over} cell(s) exceeded the {limit_mb} MB peak-RSS budget"
+                "[bench] FAIL: {over} cell(s) exceeded the {limit_mb} MiB peak-RSS budget"
             ));
             std::process::exit(1);
         }
         cli::note(format_args!(
-            "[bench] peak-RSS gate passed (budget {limit_mb} MB)"
+            "[bench] peak-RSS gate passed (budget {limit_mb} MiB)"
         ));
     }
 
@@ -285,25 +260,45 @@ fn main() {
 /// process-wide high-water mark, so cells measured later in the process
 /// inherit earlier peaks — run one cell per process (as the CI smoke
 /// does) for per-configuration numbers.
-fn check_rss(entries: &[Entry], limit_mb: u64) -> u32 {
+fn check_rss(entries: &[Entry], limit_mib: u64) -> u32 {
     let mut over = 0u32;
     for e in entries {
         let rss = e.result.metrics.gauge("prof.peak_rss_bytes").unwrap_or(0.0) as u64;
-        let rss_mb = rss / (1024 * 1024);
         let verdict = if rss == 0 {
             "unmeasured" // platform without RSS reporting: do not gate
-        } else if rss_mb > limit_mb {
+        } else if over_budget(rss, limit_mib) {
             over += 1;
             "OVER BUDGET"
         } else {
             "ok"
         };
         cli::note(format_args!(
-            "[bench] {:>12} @ {:>4} cores on {:>6}: peak RSS {} MB (budget {} MB) {}",
-            e.protocol, e.cores, e.fabric, rss_mb, limit_mb, verdict
+            "[bench] {:>12} @ {:>4} cores on {:>6}: peak RSS {:.1} MiB (budget {} MiB) {}",
+            e.protocol,
+            e.cores,
+            e.fabric,
+            rss as f64 / MIB as f64,
+            limit_mib,
+            verdict
         ));
     }
     over
+}
+
+/// Whether a peak of `rss` bytes exceeds a budget of `limit_mib` MiB,
+/// compared in bytes, so a peak even one byte over the budget fails.
+fn over_budget(rss: u64, limit_mib: u64) -> bool {
+    rss > limit_mib.saturating_mul(MIB)
+}
+
+/// `x` rounded to `digits` decimal places, the resolution the report
+/// keeps; with none it is written as an integer.
+fn places(x: f64, digits: i32) -> JsonValue {
+    if digits == 0 {
+        return JsonValue::from(x.round() as u64);
+    }
+    let scale = 10f64.powi(digits);
+    JsonValue::from((x * scale).round() / scale)
 }
 
 /// Compares the fresh measurements against a baseline
@@ -384,4 +379,15 @@ fn check_regressions(baseline_path: &str, entries: &[Entry], max_regress: f64) -
         ));
     }
     regressions
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rss_gate_compares_bytes() {
+        assert!(!over_budget(600 * MIB, 600), "exactly the budget passes");
+        assert!(over_budget(600 * MIB + 1, 600), "one byte over fails");
+    }
 }

@@ -26,7 +26,7 @@
 //! [`breakdown_from_obs`] is the companion oracle for Figure 7: it
 //! rebuilds the useful/cache/commit/squash cycle breakdown purely from
 //! [`ObsKind::ChunkDone`]/[`ObsKind::CommitStall`] events and must equal
-//! the aggregate [`Breakdown`](sb_stats::Breakdown) exactly.
+//! the aggregate [`Breakdown`] exactly.
 
 use std::collections::BTreeMap;
 

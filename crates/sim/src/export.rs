@@ -559,6 +559,10 @@ pub fn verify_observability(r: &RunResult) -> Vec<String> {
             ));
         }
     }
+    // The parsed document and its text are the largest things alive
+    // here; free them before the series folds below allocate theirs.
+    drop(json);
+    drop(text);
 
     // 5. Time-series reconciliation: every derived track must sum over
     // its windows to the matching aggregate registry counter *exactly*,

@@ -2367,23 +2367,13 @@ impl<P: CommitProtocol> Machine<P> {
         reg.set_gauge("phase.run_secs", run_wall.as_secs_f64());
         reg.set_gauge("phase.drain_secs", drain_wall.as_secs_f64());
         if let Some(obs) = r.obs.as_ref() {
-            reg.add_counter(
-                "obs.dir_grabs",
-                obs.count(|k| matches!(k, ObsKind::DirGrabbed { .. })),
-            );
-            reg.add_counter(
-                "obs.dir_releases",
-                obs.count(|k| matches!(k, ObsKind::DirReleased { .. })),
-            );
-            reg.add_counter(
-                "obs.commit_recalls",
-                obs.count(|k| matches!(k, ObsKind::CommitRecalled { .. })),
-            );
-            // Grab-hold durations: match each release to its open grab
-            // per (dir, tag) in stream order. The running totals are the
-            // exact counters the derived time-series reconciles against
-            // (`verify_observability` asserts Σ windows == these).
+            // One pass over the events. Grab-hold durations: match each
+            // release to its open grab per (dir, tag) in stream order.
+            // The running totals are the exact counters the derived
+            // time-series reconciles against (`verify_observability`
+            // asserts Σ windows == these).
             let mut open: Vec<((DirId, ChunkTag), Cycle)> = Vec::new();
+            let (mut grabs, mut releases, mut recalls) = (0u64, 0u64, 0u64);
             let mut hold_total = 0u64;
             let mut held_sum = 0u64;
             let mut held_samples = 0u64;
@@ -2394,8 +2384,12 @@ impl<P: CommitProtocol> Machine<P> {
             let mut squashed = 0u64;
             for e in &obs.events {
                 match e.kind {
-                    ObsKind::DirGrabbed { dir, tag } => open.push(((dir, tag), e.at)),
+                    ObsKind::DirGrabbed { dir, tag } => {
+                        grabs += 1;
+                        open.push(((dir, tag), e.at));
+                    }
                     ObsKind::DirReleased { dir, tag } => {
+                        releases += 1;
                         if let Some(i) = open.iter().position(|(k, _)| *k == (dir, tag)) {
                             let (_, start) = open.swap_remove(i);
                             let held = (e.at - start).as_u64();
@@ -2424,9 +2418,12 @@ impl<P: CommitProtocol> Machine<P> {
                             squashed += 1;
                         }
                     }
-                    ObsKind::CommitRecalled { .. } => {}
+                    ObsKind::CommitRecalled { .. } => recalls += 1,
                 }
             }
+            reg.add_counter("obs.dir_grabs", grabs);
+            reg.add_counter("obs.dir_releases", releases);
+            reg.add_counter("obs.commit_recalls", recalls);
             reg.add_counter("obs.grab_hold_total_cycles", hold_total);
             reg.add_counter("obs.held_inv_depth_sum", held_sum);
             reg.add_counter("obs.held_inv_samples", held_samples);
@@ -2435,22 +2432,15 @@ impl<P: CommitProtocol> Machine<P> {
             reg.add_counter("obs.commit_stall_total_cycles", stall_total);
             reg.add_counter("obs.chunks_committed", committed);
             reg.add_counter("obs.chunks_squashed", squashed);
-            reg.add_counter(
-                "obs.net_inject_wait_cycles",
-                obs.flows
-                    .iter()
-                    .filter_map(|f| f.net.map(|n| n.queue_wait))
-                    .sum(),
-            );
-            reg.add_counter(
-                "obs.net_sends",
-                obs.flows.iter().filter(|f| f.net.is_some()).count() as u64,
-            );
+            reg.add_counter("obs.chunks_done", committed + squashed);
+            let (mut sends, mut inject_wait) = (0u64, 0u64);
+            for n in obs.flows.iter().filter_map(|f| f.net) {
+                sends += 1;
+                inject_wait += n.queue_wait;
+            }
+            reg.add_counter("obs.net_inject_wait_cycles", inject_wait);
+            reg.add_counter("obs.net_sends", sends);
             reg.add_counter("obs.flows", obs.flows.len() as u64);
-            reg.add_counter(
-                "obs.chunks_done",
-                obs.count(|k| matches!(k, ObsKind::ChunkDone { .. })),
-            );
         }
         if self.cfg.obs.profile {
             let p = &self.prof;

@@ -30,8 +30,9 @@ use std::collections::BTreeMap;
 
 use sb_obs::json::JsonValue;
 
-/// A set of aligned fixed-window counters over simulated cycles (see the
-/// [module docs](self)).
+/// A set of aligned fixed-window counters over simulated cycles: named
+/// `u64` tracks, one value per window of `window` cycles, with spans
+/// split across the windows they overlap exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimeSeries {
     window: u64,
