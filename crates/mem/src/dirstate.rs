@@ -13,8 +13,14 @@
 //!
 //! The records are kept by page: one map entry per page with a tracked
 //! line, holding the page's lines field by field — a tracked mask, a
-//! resident mask, an owner column and a sharer column. A machine warms
-//! its directories a page at a time ([`DirectoryState::mark_page_resident`],
+//! resident mask, an owner column and a sole-sharer column. Almost every
+//! tracked line has at most one sharer (98.0–99.4% at the end of each
+//! perfbench workload), so the sole-sharer column names it in two bytes,
+//! and only a line with two or more sharers keeps a [`CoreSet`], in a
+//! per-page list that allocates nothing while no line of the page is
+//! shared.
+//! A machine warms its directories a page at a time
+//! ([`DirectoryState::mark_page_resident`],
 //! [`DirectoryState::record_page_reads`]), and an expansion finds each
 //! matched 16-line block's entries with one page lookup.
 
@@ -31,26 +37,37 @@ use crate::ids::{CoreId, CoreSet};
 /// Lines per page.
 const PAGE_LINES: usize = LineAddr::PER_PAGE as usize;
 
-/// Owner-column entry of a line with no dirty owner. Core ids run below
-/// the core count, a `u16`, so no core has this id.
+/// Owner- and sole-column entry of a line with no such core. Core ids
+/// run below the core count, a `u16`, so no core has this id.
 const NO_OWNER: u16 = u16::MAX;
 
 /// The directory state of one page's lines, a column per field. An
 /// untracked line reads as unshared, unowned and not resident in every
 /// column, so only tracking needs the `tracked` mask.
+///
+/// Each tracked line has no sharer, one sole sharer (`sole`), or a
+/// spilled set of two or more (`multi` and `shared`): a second sharer
+/// promotes the line to a spilled set, and a removal that leaves one
+/// member demotes it back to `sole`.
 #[derive(Clone, Debug)]
 struct PageDir {
     /// Bit `i` set: the page's line `i` is tracked. Never 0 in the map.
     tracked: u128,
     /// Bit `i` set: line `i` is resident somewhere in the machine's
     /// aggregate cache capacity (steady-state modelling), so reads are
-    /// served cache-to-cache even when its sharer set is empty.
+    /// served cache-to-cache even when it has no sharer.
     /// Resident-only lines are never invalidation targets.
     resident: u128,
+    /// Bit `i` set: line `i` has two or more sharers, held in `shared`.
+    multi: u128,
     /// The id of the core that owns line `i` dirty, or `NO_OWNER`.
     owners: [u16; PAGE_LINES],
-    /// The cores whose caches may hold line `i`.
-    sharers: [CoreSet; PAGE_LINES],
+    /// The id of line `i`'s only sharer, or `NO_OWNER` when it has none
+    /// or several.
+    sole: [u16; PAGE_LINES],
+    /// The sharer sets of the `multi` lines, in line order, each of two
+    /// or more cores: line `i`'s is at [`PageDir::rank`]`(i)`.
+    shared: Vec<CoreSet>,
 }
 
 impl PageDir {
@@ -59,8 +76,10 @@ impl PageDir {
         Box::new(PageDir {
             tracked: 0,
             resident: 0,
+            multi: 0,
             owners: [NO_OWNER; PAGE_LINES],
-            sharers: [const { CoreSet::empty() }; PAGE_LINES],
+            sole: [NO_OWNER; PAGE_LINES],
+            shared: Vec::new(),
         })
     }
 
@@ -69,6 +88,84 @@ impl PageDir {
     fn owner(&self, i: usize) -> Option<CoreId> {
         let o = self.owners[i];
         (o != NO_OWNER).then_some(CoreId(o))
+    }
+
+    /// The index in `shared` of line `i`'s set: the `multi` lines below
+    /// it.
+    #[inline]
+    fn rank(&self, i: usize) -> usize {
+        (self.multi & ((1 << i) - 1)).count_ones() as usize
+    }
+
+    /// Whether line `i` has a sharer.
+    #[inline]
+    fn has_sharer(&self, i: usize) -> bool {
+        self.sole[i] != NO_OWNER || self.multi >> i & 1 == 1
+    }
+
+    /// The sharers of line `i`.
+    fn sharers(&self, i: usize) -> CoreSet {
+        let mut set = CoreSet::empty();
+        self.sharers_into(i, &mut set);
+        set
+    }
+
+    /// Adds the sharers of line `i` to `set`.
+    #[inline]
+    fn sharers_into(&self, i: usize, set: &mut CoreSet) {
+        if self.multi >> i & 1 == 1 {
+            set.union_with(&self.shared[self.rank(i)]);
+        } else if self.sole[i] != NO_OWNER {
+            set.insert(CoreId(self.sole[i]));
+        }
+    }
+
+    /// Makes `core` a sharer of line `i`, promoting a sole sharer to a
+    /// spilled set when `core` is another.
+    #[inline]
+    fn add_sharer(&mut self, i: usize, core: CoreId) {
+        let sole = self.sole[i];
+        if self.multi >> i & 1 == 1 {
+            let r = self.rank(i);
+            self.shared[r].insert(core);
+        } else if sole == NO_OWNER {
+            self.sole[i] = core.0;
+        } else if sole != core.0 {
+            let r = self.rank(i);
+            self.shared
+                .insert(r, [CoreId(sole), core].into_iter().collect());
+            self.multi |= 1 << i;
+            self.sole[i] = NO_OWNER;
+        }
+    }
+
+    /// Removes `core` from the sharers of line `i`, demoting a spilled
+    /// set left with one member to the sole column.
+    fn remove_sharer(&mut self, i: usize, core: CoreId) {
+        if self.multi >> i & 1 == 1 {
+            let r = self.rank(i);
+            let set = &mut self.shared[r];
+            set.remove(core);
+            if set.len() == 1 {
+                let last = set.lowest().expect("one member left");
+                self.shared.remove(r);
+                self.multi &= !(1 << i);
+                self.sole[i] = last.0;
+            }
+        } else if self.sole[i] == core.0 {
+            self.sole[i] = NO_OWNER;
+        }
+    }
+
+    /// Makes `core` line `i`'s only sharer, dropping any spilled set.
+    #[inline]
+    fn set_sole(&mut self, i: usize, core: CoreId) {
+        if self.multi >> i & 1 == 1 {
+            let r = self.rank(i);
+            self.shared.remove(r);
+            self.multi &= !(1 << i);
+        }
+        self.sole[i] = core.0;
     }
 }
 
@@ -112,8 +209,9 @@ pub enum ReadSource {
 #[derive(Clone, Debug)]
 pub struct DirectoryState {
     /// The record of every page with a tracked line. A record costs
-    /// [`DirectoryState::PAGE_RECORD_BYTES`] (2,336) however few lines
-    /// it tracks; the machine warms whole pages (the shared pool, and
+    /// [`DirectoryState::PAGE_RECORD_BYTES`] however few lines it
+    /// tracks, plus one [`CoreSet`] for each line with two or more
+    /// sharers; the machine warms whole pages (the shared pool, and
     /// private regions that are whole pages), so on its workloads the
     /// records are full.
     pages: FxHashMap<PageAddr, Box<PageDir>>,
@@ -128,7 +226,8 @@ pub struct DirectoryState {
 impl DirectoryState {
     /// Host bytes of one page record (see
     /// [`DirectoryState::page_records`]), without the map entry and heap
-    /// header that hold it.
+    /// header that hold it, or its spilled sharer sets (see
+    /// [`DirectoryState::spilled_sets`]).
     pub const PAGE_RECORD_BYTES: usize = std::mem::size_of::<PageDir>();
 
     /// Creates an empty directory indexed for the paper's signature
@@ -188,22 +287,32 @@ impl DirectoryState {
     }
 
     /// Records that `core` fetched `line` (it becomes a sharer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is core `u16::MAX`, which no machine has.
     pub fn record_read(&mut self, line: LineAddr, core: CoreId) {
+        assert_ne!(core.0, NO_OWNER, "no machine has core {core}");
         let (p, i) = self.track_line(line);
-        p.sharers[i].insert(core);
+        p.add_sharer(i, core);
     }
 
     /// Records that `core` fetched every line of `page` in `mask` (bit
     /// `i`: the page's `i`-th line), as [`DirectoryState::record_read`]
     /// on each would, with one page lookup and one block-index insert per
     /// 16-line block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is core `u16::MAX`, which no machine has.
     pub fn record_page_reads(&mut self, page: PageAddr, mask: u128, core: CoreId) {
+        assert_ne!(core.0, NO_OWNER, "no machine has core {core}");
         if mask == 0 {
             return;
         }
         let p = self.pages.entry(page).or_insert_with(PageDir::boxed);
         for i in bits(mask) {
-            p.sharers[i].insert(core);
+            p.add_sharer(i, core);
         }
         let new = mask & !p.tracked;
         Self::track(&mut self.blocks, p, page, new);
@@ -244,7 +353,7 @@ impl DirectoryState {
         };
         match p.owner(i) {
             Some(owner) => ReadSource::Owner(owner),
-            None if p.resident >> i & 1 == 1 || !p.sharers[i].is_empty() => ReadSource::Cache,
+            None if p.resident >> i & 1 == 1 || p.has_sharer(i) => ReadSource::Cache,
             None => ReadSource::Memory,
         }
     }
@@ -252,7 +361,7 @@ impl DirectoryState {
     /// The sharers of `line` (empty if untracked).
     pub fn sharers_of(&self, line: LineAddr) -> CoreSet {
         self.lookup(line)
-            .map_or(CoreSet::empty(), |(p, i)| p.sharers[i].clone())
+            .map_or(CoreSet::empty(), |(p, i)| p.sharers(i))
     }
 
     /// The dirty owner of `line`, if any.
@@ -276,7 +385,7 @@ impl DirectoryState {
             let (page, at) = page_of_block(base);
             let p = &self.pages[&page];
             for j in bits(mask.into()) {
-                set.union_with(&p.sharers[at + j]);
+                p.sharers_into(at + j, &mut set);
                 if let Some(o) = p.owner(at + j) {
                     set.insert(o);
                 }
@@ -317,7 +426,7 @@ impl DirectoryState {
             let (page, at) = page_of_block(base);
             let p = pages.get_mut(&page).expect("index tracks the page");
             for j in bits(mask.into()) {
-                p.sharers[at + j] = CoreSet::single(committer);
+                p.set_sole(at + j, committer);
                 p.owners[at + j] = committer.0;
             }
             n += mask.count_ones();
@@ -338,11 +447,11 @@ impl DirectoryState {
         if p.tracked >> i & 1 == 0 {
             return;
         }
-        p.sharers[i].remove(core);
+        p.remove_sharer(i, core);
         if p.owners[i] == core.0 {
             p.owners[i] = NO_OWNER;
         }
-        if p.sharers[i].is_empty() && p.owners[i] == NO_OWNER && p.resident >> i & 1 == 0 {
+        if !p.has_sharer(i) && p.owners[i] == NO_OWNER && p.resident >> i & 1 == 0 {
             p.tracked &= !(1 << i);
             self.blocks.remove(line);
             if p.tracked == 0 {
@@ -367,6 +476,12 @@ impl DirectoryState {
     /// Number of page records held: pages with a tracked line.
     pub fn page_records(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Number of sharer sets the page records hold: lines with two or
+    /// more sharers.
+    pub fn spilled_sets(&self) -> usize {
+        self.pages.values().map(|p| p.shared.len()).sum()
     }
 
     /// Iterates over all tracked lines.
@@ -404,7 +519,10 @@ mod tests {
     /// Checks the block index against the page records: it holds
     /// exactly the tracked lines, each in one non-empty block; every
     /// page record tracks a line, and an untracked line is unshared,
-    /// unowned and not resident in every column.
+    /// unowned and not resident in every column. Checks that the
+    /// sharers are in canonical form too: one spilled set per `multi`
+    /// line, in line order, each of two or more cores, and no sole
+    /// sharer beside it.
     fn assert_index_consistent(d: &DirectoryState) {
         let tracked: BTreeSet<LineAddr> = d.tracked_lines().collect();
         assert_eq!(d.blocks.assert_consistent(), tracked);
@@ -415,9 +533,15 @@ mod tests {
                 0,
                 "{page:?} untracked but resident"
             );
+            assert_eq!(p.multi & !p.tracked, 0, "{page:?} untracked but shared");
+            assert_eq!(p.shared.len(), p.multi.count_ones() as usize, "{page:?}");
+            for (i, set) in bits(p.multi).zip(&p.shared) {
+                assert!(set.len() >= 2, "{page:?} line {i} spills {set:?}");
+                assert_eq!(p.sole[i], NO_OWNER, "{page:?} line {i} is also sole");
+            }
             for i in bits(!p.tracked) {
                 assert!(
-                    p.sharers[i].is_empty() && p.owners[i] == NO_OWNER,
+                    p.sole[i] == NO_OWNER && p.owners[i] == NO_OWNER,
                     "{page:?} line {i}"
                 );
             }
@@ -427,12 +551,16 @@ mod tests {
     #[test]
     fn line_records_stay_32_bytes() {
         // A line's record is its slot in each column, one owner id and
-        // one sharer set, plus its bit in the two masks.
-        let line = std::mem::size_of::<u16>() + std::mem::size_of::<CoreSet>();
+        // one sole sharer, plus its bit in the three masks; the page's
+        // spilled sets hang off one vector header.
+        let line = 2 * std::mem::size_of::<u16>();
         assert!(line <= 32);
+        let fields = 3 * std::mem::size_of::<u128>()
+            + PAGE_LINES * line
+            + std::mem::size_of::<Vec<CoreSet>>();
         assert_eq!(
             std::mem::size_of::<PageDir>(),
-            2 * std::mem::size_of::<u128>() + PAGE_LINES * line
+            fields.next_multiple_of(std::mem::align_of::<PageDir>())
         );
     }
 
@@ -444,12 +572,21 @@ mod tests {
 
     #[test]
     fn page_records_stay_2336_bytes() {
-        // Two masks, 128 two-byte owners and 128 sixteen-byte sets.
+        // The bound of the layout with a sixteen-byte sharer set per
+        // line.
         assert!(std::mem::size_of::<PageDir>() <= 2336);
         assert_eq!(
             DirectoryState::PAGE_RECORD_BYTES,
             std::mem::size_of::<PageDir>()
         );
+    }
+
+    #[test]
+    fn page_records_stay_592_bytes() {
+        // Three masks, 128 two-byte owners, 128 two-byte sole sharers
+        // and the spilled sets' vector header: 584 bytes, padded to the
+        // masks' 16-byte alignment.
+        assert!(std::mem::size_of::<PageDir>() <= 592);
     }
 
     #[test]
@@ -471,6 +608,28 @@ mod tests {
         d.record_page_reads(PageAddr(9), 0, CoreId(1));
         assert_eq!(d.pages.len(), 2);
         assert_eq!(d.len(), 129);
+    }
+
+    #[test]
+    fn only_lines_with_two_sharers_spill_a_set() {
+        let mut d = DirectoryState::new();
+        let page = PageAddr(3);
+        d.record_page_reads(page, 0b111, CoreId(1));
+        d.record_read(page.line(1), CoreId(1));
+        assert_eq!(d.spilled_sets(), 0, "one sharer each");
+        d.record_read(page.line(1), CoreId(200));
+        d.record_read(page.line(2), CoreId(2));
+        assert_eq!(d.spilled_sets(), 2);
+        let both: CoreSet = [CoreId(1), CoreId(200)].into_iter().collect();
+        assert_eq!(d.sharers_of(page.line(1)), both);
+        assert_index_consistent(&d);
+        d.drop_sharer(page.line(1), CoreId(1));
+        assert_eq!(d.spilled_sets(), 1, "line 1 is back to one sharer");
+        assert_eq!(d.sharers_of(page.line(1)), CoreSet::single(CoreId(200)));
+        d.apply_commit(&sig_of(&[page.line(2).as_u64()]), CoreId(5));
+        assert_eq!(d.spilled_sets(), 0, "the committer is line 2's only sharer");
+        assert_eq!(d.sharers_of(page.line(2)), CoreSet::single(CoreId(5)));
+        assert_index_consistent(&d);
     }
 
     #[test]
@@ -515,6 +674,18 @@ mod tests {
         assert_eq!(d.owner_of(LineAddr(20)), Some(CoreId(9)));
         assert_eq!(d.sharers_of(LineAddr(20)), CoreSet::single(CoreId(9)));
         assert_eq!(d.expansion_counts(), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "no machine has core P65535")]
+    fn record_read_rejects_the_no_owner_id() {
+        DirectoryState::new().record_read(LineAddr(20), CoreId(NO_OWNER));
+    }
+
+    #[test]
+    #[should_panic(expected = "no machine has core P65535")]
+    fn record_page_reads_rejects_the_no_owner_id() {
+        DirectoryState::new().record_page_reads(PageAddr(3), 1, CoreId(NO_OWNER));
     }
 
     #[test]
@@ -567,7 +738,7 @@ mod tests {
     /// as resident, shared or owned.
     fn three_lookup_source(d: &DirectoryState, line: LineAddr) -> ReadSource {
         let resident = d.lookup(line).is_some_and(|(p, i)| {
-            p.resident >> i & 1 == 1 || !p.sharers[i].is_empty() || p.owner(i).is_some()
+            p.resident >> i & 1 == 1 || !p.sharers(i).is_empty() || p.owner(i).is_some()
         });
         if let Some(owner) = d.owner_of(line) {
             ReadSource::Owner(owner)

@@ -29,8 +29,12 @@
 //! baseline is checked against the fresh measurement (baseline rows
 //! without a `fabric` field mean `torus`), and the process exits
 //! non-zero if any cell's `events_per_sec` dropped by more than
-//! `--max-regress` percent (default 15). Cells faster than baseline
-//! always pass.
+//! `--max-regress` percent (default 15), or if any cell's simulated
+//! fields (`wall_cycles`, `commits`, `events`, `protocol_steps`) differ
+//! from the baseline's: a faster run of different simulated work is no
+//! comparison. Cells faster than baseline with the same simulated
+//! fields pass. A baseline of another `app` or `insns_per_thread` than
+//! the run's exits 1 before any cell is compared.
 //!
 //! `--max-rss-mb MB` (implies `--profile`) additionally gates on
 //! memory: the process exits non-zero if any cell's peak RSS exceeds
@@ -63,6 +67,13 @@ use sb_workloads::AppProfile;
 
 /// Bytes per MiB, the unit of `--max-rss-mb`.
 const MIB: u64 = 1 << 20;
+
+/// The application every cell runs.
+const APP: &str = "fft";
+
+/// The fields of a cell that depend only on the simulated work, which
+/// `--compare` requires to equal the baseline's.
+const SIMULATED: [&str; 4] = ["wall_cycles", "commits", "events", "protocol_steps"];
 
 struct Entry {
     protocol: ProtocolKind,
@@ -219,7 +230,7 @@ fn main() {
     }
     let json = JsonValue::obj([
         ("benchmark", JsonValue::from("sim_throughput")),
-        ("app", JsonValue::from("fft")),
+        ("app", JsonValue::from(APP)),
         ("insns_per_thread", JsonValue::from(sweep.insns_per_thread)),
         ("repeats", JsonValue::from(u64::from(repeats))),
         ("runs", JsonValue::Array(runs)),
@@ -242,15 +253,21 @@ fn main() {
     }
 
     if let Some(baseline_path) = compare {
-        let regressions = check_regressions(&baseline_path, &entries, max_regress);
-        if regressions > 0 {
+        let failures = check_regressions(
+            &baseline_path,
+            &entries,
+            sweep.insns_per_thread,
+            max_regress,
+        );
+        if failures > 0 {
             cli::note(format_args!(
-                "[bench] FAIL: {regressions} cell(s) regressed more than {max_regress}%"
+                "[bench] FAIL: {failures} cell(s) regressed more than {max_regress}% \
+                 or differ from the baseline's simulated fields"
             ));
             std::process::exit(1);
         }
         cli::note(format_args!(
-            "[bench] regression gate passed (threshold {max_regress}%)"
+            "[bench] regression gate passed (threshold {max_regress}%, simulated fields equal)"
         ));
     }
 }
@@ -301,13 +318,47 @@ fn places(x: f64, digits: i32) -> JsonValue {
     JsonValue::from((x * scale).round() / scale)
 }
 
+/// The values of `e`'s [`SIMULATED`] fields.
+fn simulated(e: &Entry) -> [u64; 4] {
+    let (r, p) = (&e.result, &e.result.perf);
+    [
+        r.wall_cycles,
+        r.commits,
+        p.events_dispatched,
+        p.protocol_steps,
+    ]
+}
+
+/// The [`SIMULATED`] fields of baseline row `run` that differ from
+/// `now`, each as `field baseline -> now`; a field the row lacks
+/// differs.
+fn simulated_mismatches(run: &JsonValue, now: [u64; 4]) -> Vec<String> {
+    SIMULATED
+        .into_iter()
+        .zip(now)
+        .filter_map(|(field, now)| {
+            let base = run.get(field);
+            (base != Some(&JsonValue::from(now))).then(|| {
+                let base = base.map_or("missing".to_string(), JsonValue::to_string);
+                format!("{field} {base} -> {now}")
+            })
+        })
+        .collect()
+}
+
 /// Compares the fresh measurements against a baseline
 /// `BENCH_throughput.json`; prints one line per `(protocol, cores,
 /// fabric)` cell and returns how many regressed beyond `max_regress`
-/// percent. Baseline rows without a `fabric` field predate the fabric
-/// sweeps and mean `torus`; `prof` rows carry no throughput and are
-/// skipped.
-fn check_regressions(baseline_path: &str, entries: &[Entry], max_regress: f64) -> u32 {
+/// percent or differ in a [`SIMULATED`] field. Exits 1 if the baseline
+/// ran another app or `insns_per_thread`. Baseline rows without a
+/// `fabric` field predate the fabric sweeps and mean `torus`; `prof`
+/// rows carry no throughput and are skipped.
+fn check_regressions(
+    baseline_path: &str,
+    entries: &[Entry],
+    insns_per_thread: u64,
+    max_regress: f64,
+) -> u32 {
     let text = match std::fs::read_to_string(baseline_path) {
         Ok(t) => t,
         Err(e) => {
@@ -335,8 +386,21 @@ fn check_regressions(baseline_path: &str, entries: &[Entry], max_regress: f64) -
             ));
             std::process::exit(1);
         });
+    for (field, now) in [
+        ("app", JsonValue::from(APP)),
+        ("insns_per_thread", JsonValue::from(insns_per_thread)),
+    ] {
+        let base = baseline.get(field);
+        if base != Some(&now) {
+            let base = base.map_or("none".to_string(), JsonValue::to_string);
+            cli::note(format_args!(
+                "[bench] baseline {baseline_path} has {field} {base}, this run {now}: not comparable"
+            ));
+            std::process::exit(1);
+        }
+    }
 
-    let mut regressions = 0u32;
+    let mut failures = 0u32;
     for run in runs {
         if run.get("prof").is_some() {
             continue; // profiling side-row, no throughput to gate on
@@ -363,27 +427,61 @@ fn check_regressions(baseline_path: &str, entries: &[Entry], max_regress: f64) -
             ));
             continue;
         };
-        let now_eps = e.result.perf.events_per_sec();
-        if base_eps <= 0.0 {
-            continue; // degenerate baseline cell; nothing to gate on
+        let mismatches = simulated_mismatches(run, simulated(e));
+        for m in &mismatches {
+            cli::note(format_args!(
+                "[bench] {proto:>12} @ {cores:>4} cores on {fabric:>6}: {m} DIFFERS"
+            ));
         }
-        let delta_pct = (now_eps - base_eps) / base_eps * 100.0;
-        let verdict = if delta_pct < -max_regress {
-            regressions += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        cli::note(format_args!(
-            "[bench] {proto:>12} @ {cores:>4} cores on {fabric:>6}: {base_eps:>12.0} -> {now_eps:>12.0} ev/s ({delta_pct:+.1}%) {verdict}"
-        ));
+        let mut failed = !mismatches.is_empty();
+        let now_eps = e.result.perf.events_per_sec();
+        // A degenerate baseline cell has no throughput to gate on.
+        if base_eps > 0.0 {
+            let delta_pct = (now_eps - base_eps) / base_eps * 100.0;
+            let verdict = if delta_pct < -max_regress {
+                failed = true;
+                "REGRESSED"
+            } else {
+                "ok"
+            };
+            cli::note(format_args!(
+                "[bench] {proto:>12} @ {cores:>4} cores on {fabric:>6}: {base_eps:>12.0} -> {now_eps:>12.0} ev/s ({delta_pct:+.1}%) {verdict}"
+            ));
+        }
+        failures += u32::from(failed);
     }
-    regressions
+    failures
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_row_with_one_simulated_field_off_differs() {
+        let row = |events: u64| {
+            JsonValue::obj([
+                ("protocol", JsonValue::from("ScalableBulk")),
+                ("wall_cycles", JsonValue::from(15_789u64)),
+                ("commits", JsonValue::from(55u64)),
+                ("events", JsonValue::from(events)),
+                ("protocol_steps", JsonValue::from(650u64)),
+                ("events_per_sec", JsonValue::from(419_946u64)),
+            ])
+        };
+        let now = [15_789, 55, 5_755, 650];
+        assert!(simulated_mismatches(&row(5_755), now).is_empty());
+        assert_eq!(
+            simulated_mismatches(&row(5_756), now),
+            ["events 5756 -> 5755"]
+        );
+        let bare = JsonValue::obj([("wall_cycles", JsonValue::from(15_789u64))]);
+        assert_eq!(
+            simulated_mismatches(&bare, now).len(),
+            3,
+            "missing fields differ"
+        );
+    }
 
     #[test]
     fn rss_gate_compares_bytes() {

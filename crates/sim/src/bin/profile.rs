@@ -12,12 +12,13 @@
 //! traffic class, and where the *host* time went: core-unit (plane A)
 //! busy time and unit visits (units actually run, per dispatched event),
 //! hub-plane utilization, directory signature expansions and the lines
-//! they matched, the directories' page records and their host bytes
-//! (`directory:`), the accesses the cores executed and how many of them
-//! were new to their chunk, the event queues' pushes and summed peak
-//! length, and peak RSS. Its `setup:` line splits the time `Machine::new`
-//! took over its passes ([`SETUP_PASSES`]), with `other` for the rest;
-//! its `setup faults:` line splits the minor page faults the same way
+//! they matched, the directories' page records and spilled sharer sets
+//! with their host bytes (`directory:`), the accesses the cores
+//! executed and how many of them were new to their chunk, the event
+//! queues' pushes and summed peak length, and peak RSS. Its `setup:`
+//! line splits the time `Machine::new` took over its passes
+//! ([`SETUP_PASSES`]), with `other` for the rest; its `setup faults:`
+//! line splits the minor page faults the same way
 //! (host counters read from `/proc/self/stat`; absent without procfs).
 //!
 //! The binary installs a counting global allocator (the library crates
@@ -40,7 +41,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use sb_mem::DirectoryState;
+use sb_mem::{CoreSet, DirectoryState};
 use sb_net::TrafficClass::*;
 use sb_obs::json::JsonValue;
 use sb_proto::ProtocolKind;
@@ -220,11 +221,12 @@ fn main() {
         c("prof.dir_expansions"),
         c("prof.dir_lines_matched")
     );
-    let pages = c("prof.dir_pages");
+    let (pages, sets) = (c("prof.dir_pages"), c("prof.dir_spilled_sets"));
     let page_bytes = DirectoryState::PAGE_RECORD_BYTES as u64;
+    let set_bytes = std::mem::size_of::<CoreSet>() as u64;
     println!(
-        "directory: {pages} page records × {page_bytes} B = {:.1} MiB",
-        (pages * page_bytes) as f64 / (1024.0 * 1024.0)
+        "directory: {pages} page records × {page_bytes} B + {sets} sharer sets × {set_bytes} B = {:.1} MiB",
+        (pages * page_bytes + sets * set_bytes) as f64 / (1024.0 * 1024.0)
     );
     println!(
         "core-side expansions: {} (bulk_invalidate), {} lines matched",

@@ -2272,9 +2272,14 @@ impl<P: CommitProtocol> Machine<P> {
                 )
             })
             .collect();
+        let proto = &self.hub.proto;
+        let state = proto.debug_state();
         panic!(
-            "machine deadlock at {} under {:?}: {stuck:?}",
-            now, self.cfg.protocol
+            "machine deadlock at {} under {:?}: {stuck:?}; protocol in flight {}{}{state}",
+            now,
+            self.cfg.protocol,
+            proto.in_flight(),
+            if state.is_empty() { "" } else { ": " },
         );
     }
 
@@ -2466,6 +2471,10 @@ impl<P: CommitProtocol> Machine<P> {
             reg.add_counter(
                 "prof.dir_pages",
                 self.dirs.iter().map(|d| d.page_records() as u64).sum(),
+            );
+            reg.add_counter(
+                "prof.dir_spilled_sets",
+                self.dirs.iter().map(|d| d.spilled_sets() as u64).sum(),
             );
             let (expansions, matched) = self
                 .units

@@ -188,6 +188,47 @@ fn error_statuses_survive_a_closed_stderr() {
     }
 }
 
+/// `bench_json --compare` passes a baseline of the same simulated work
+/// and exits 1 on a doctored one: another `insns_per_thread`, or a cell
+/// whose `wall_cycles`, `commits`, `events` or `protocol_steps` differ.
+#[test]
+fn bench_json_compare_rejects_a_doctored_baseline() {
+    let tmp = |name| format!("{}/compare_{name}.json", env!("CARGO_TARGET_TMPDIR"));
+    let (fresh, doctored, out_path) = (tmp("fresh"), tmp("doctored"), tmp("out"));
+    let bench = |extra: &[&str]| {
+        let cell = "--cores 4 --insns 500 --repeats 1 --protocols sb --out";
+        run(
+            BENCH_JSON,
+            &[&cell.split(' ').collect::<Vec<_>>(), extra].concat(),
+        )
+    };
+    assert!(bench(&[&fresh]).status.success());
+    let baseline = std::fs::read_to_string(&fresh).expect("bench_json wrote --out");
+    // No run can drop by 100%, so only the simulated fields can fail.
+    let compare = |path: &str| bench(&[&out_path, "--compare", path, "--max-regress", "100"]);
+    let out = compare(&fresh);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("simulated fields equal"), "{stderr}");
+    for field in [
+        "insns_per_thread",
+        "wall_cycles",
+        "commits",
+        "events",
+        "protocol_steps",
+    ] {
+        // A leading 1 changes the field's first value.
+        let key = format!("\"{field}\": ");
+        let text = baseline.replacen(&key, &format!("{key}1"), 1);
+        assert_ne!(text, baseline, "{field} is in the baseline");
+        std::fs::write(&doctored, text).expect("write the doctored baseline");
+        let out = compare(&doctored);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{field}: {stderr}");
+        assert!(stderr.contains(field), "{field}: {stderr}");
+    }
+}
+
 /// Every binary prints its seed in hex; that hex parses back to the
 /// same run as its decimal value.
 #[test]
@@ -305,10 +346,11 @@ fn profile_prints_its_setup_split() {
     }
 }
 
-/// `profile` prints the directories' page records at the end of the run
-/// with their host size, on one `directory:` line whose MiB figure is
-/// records × bytes, and writes the count as `prof.dir_pages` in its
-/// `--out` document.
+/// `profile` prints the directories' page records and spilled sharer
+/// sets at the end of the run with their host sizes, on one
+/// `directory:` line whose MiB figure is records × bytes + sets ×
+/// bytes, and writes the counts as `prof.dir_pages` and
+/// `prof.dir_spilled_sets` in its `--out` document.
 #[test]
 fn profile_prints_its_directory_pages() {
     let path = format!("{}/profile_dir_pages.json", env!("CARGO_TARGET_TMPDIR"));
@@ -319,31 +361,44 @@ fn profile_prints_its_directory_pages() {
         .lines()
         .find(|l| l.starts_with("directory: "))
         .unwrap_or_else(|| panic!("no directory line in\n{stdout}"));
-    let (pages, bytes, mib) = line
+    let (pages, page_bytes, sets, set_bytes, mib) = line
         .strip_prefix("directory: ")
         .and_then(|l| l.strip_suffix(" MiB"))
-        .and_then(|l| l.split_once(" page records × "))
-        .and_then(|(pages, l)| {
-            let (bytes, mib) = l.split_once(" B = ")?;
+        .and_then(|l| {
+            let (pages, l) = l.split_once(" page records × ")?;
+            let (page_bytes, l) = l.split_once(" B + ")?;
+            let (sets, l) = l.split_once(" sharer sets × ")?;
+            let (set_bytes, mib) = l.split_once(" B = ")?;
             Some((
                 pages.parse::<u64>().ok()?,
-                bytes.parse::<u64>().ok()?,
+                page_bytes.parse::<u64>().ok()?,
+                sets.parse::<u64>().ok()?,
+                set_bytes.parse::<u64>().ok()?,
                 mib.parse::<f64>().ok()?,
             ))
         })
         .unwrap_or_else(|| panic!("malformed directory line: {line}"));
     assert_eq!(
-        bytes,
+        page_bytes,
         sb_mem::DirectoryState::PAGE_RECORD_BYTES as u64,
+        "{line}"
+    );
+    assert_eq!(
+        set_bytes,
+        std::mem::size_of::<sb_mem::CoreSet>() as u64,
         "{line}"
     );
     // The shared pool is warmed a page at a time into every machine.
     assert!(pages > 0, "{line}");
-    let want = (pages * bytes) as f64 / (1024.0 * 1024.0);
+    let want = (pages * page_bytes + sets * set_bytes) as f64 / (1024.0 * 1024.0);
     assert!((mib - want).abs() <= 0.05, "{line}");
     let doc = std::fs::read_to_string(&path).expect("profile wrote --out");
-    let key = format!("\"prof.dir_pages\": {pages}");
-    assert!(doc.contains(&key), "--out lacks {key}");
+    for key in [
+        format!("\"prof.dir_pages\": {pages}"),
+        format!("\"prof.dir_spilled_sets\": {sets}"),
+    ] {
+        assert!(doc.contains(&key), "--out lacks {key}");
+    }
 }
 
 /// Where procfs is available, `profile` splits the minor page faults of

@@ -1,8 +1,9 @@
 //! Behavioural tests of the full-system machine: properties that need a
 //! real network, caches and workload underneath the protocol.
 
-use sb_proto::ProtocolKind;
-use sb_sim::{run_simulation, SimConfig, TraceEvent};
+use sb_chunks::{ChunkTag, CommitRequest};
+use sb_proto::{BulkInvAck, CommitProtocol, Endpoint, MachineView, Outbox, ProtocolKind};
+use sb_sim::{run_simulation, Machine, SimConfig, TraceEvent};
 use sb_workloads::AppProfile;
 
 fn cfg(app: AppProfile, cores: u16, proto: ProtocolKind) -> SimConfig {
@@ -182,5 +183,58 @@ fn lines_recorded_counts_each_chunks_distinct_pairs() {
     assert!(
         counter("prof.accesses") > pairs,
         "FFT chunks touch their lines more than once"
+    );
+}
+
+/// A protocol that takes every commit request and never answers.
+#[derive(Default)]
+struct Silent {
+    taken: Vec<ChunkTag>,
+}
+
+impl CommitProtocol for Silent {
+    type Msg = ();
+
+    fn kind(&self) -> ProtocolKind {
+        ProtocolKind::ScalableBulk
+    }
+
+    fn start_commit(&mut self, _: &dyn MachineView, _: &mut Outbox<()>, req: CommitRequest) {
+        self.taken.push(req.tag);
+    }
+
+    fn deliver(&mut self, _: &dyn MachineView, _: &mut Outbox<()>, _: Endpoint, _: ()) {}
+
+    fn bulk_inv_acked(&mut self, _: &dyn MachineView, _: &mut Outbox<()>, _: BulkInvAck) {}
+
+    fn in_flight(&self) -> usize {
+        self.taken.len()
+    }
+
+    fn debug_state(&self) -> String {
+        format!("silent on {} requests", self.taken.len())
+    }
+}
+
+#[test]
+fn a_deadlock_names_the_stuck_cores_and_the_protocol_state() {
+    let mut c = cfg(AppProfile::fft(), 4, ProtocolKind::ScalableBulk);
+    c.insns_per_thread = 2_000;
+    let machine = Machine::new(c, Silent::default());
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| machine.run()))
+        .expect_err("no commit ever resolves");
+    let msg = panic
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(msg.starts_with("machine deadlock at "), "{msg}");
+    for core in 0..4 {
+        assert!(
+            msg.contains(&format!("core {core}: WaitCommitSlot")),
+            "{msg}"
+        );
+    }
+    assert!(
+        msg.contains("protocol in flight 4: silent on 4 requests"),
+        "{msg}"
     );
 }
